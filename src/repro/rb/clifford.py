@@ -254,6 +254,7 @@ class CliffordGroup:
         self.num_qubits = num_qubits
         self.elements: List[CliffordElement] = []
         self._index_of: Dict[bytes, int] = {}
+        self._gate_suffixes: Dict[int, np.ndarray] = {}
         self._enumerate()
 
     # ------------------------------------------------------------------
@@ -325,6 +326,30 @@ class CliffordGroup:
     def inverse_element(self, tableau: CliffordTableau) -> CliffordElement:
         """The group element implementing ``tableau``'s inverse."""
         return self.element_of(tableau.inverse())
+
+    def gate_suffixes(self, index: int) -> np.ndarray:
+        """Within-element suffix bit matrices of element ``index``.
+
+        Row ``j`` of the ``(len(gates), 2n, 2n)`` result is the GF(2)
+        product of the element's gate tableaux *after* gate ``j``: it maps
+        the (x|z) bits of a Pauli injected right after gate ``j`` to its
+        bits at the end of the element.  Filled on first use and kept per
+        element index, since RB sequences draw the same elements over and
+        over.
+        """
+        suffixes = self._gate_suffixes.get(index)
+        if suffixes is None:
+            gates = self.elements[index].gates
+            dim = 2 * self.num_qubits
+            suffixes = np.empty((len(gates), dim, dim), dtype=np.uint8)
+            acc = np.eye(dim, dtype=np.uint8)
+            for j in range(len(gates) - 1, -1, -1):
+                suffixes[j] = acc
+                name, qubits = gates[j]
+                acc = (_gate_tableau(self.num_qubits, name, qubits).mat
+                       @ acc) % 2
+            self._gate_suffixes[index] = suffixes
+        return suffixes
 
     def sample(self, rng: np.random.Generator) -> CliffordElement:
         """Uniformly random group element — exact Clifford twirling."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,45 +73,18 @@ def _label_bits(label: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
 #: The 15 non-identity two-qubit Paulis as (x_bits, z_bits).
 _PAULI_2Q_BITS = tuple(_label_bits(label) for label in _PAULI_2Q)
 
-#: The 3 non-identity single-qubit Paulis as 1-bit (x, z) tuples.
-_PAULI_1Q_BITS = (((1,), (0,)), ((1,), (1,)), ((0,), (1,)))
-
 #: The two-qubit Pauli support as one (15, 4) bit matrix, rows = (x|z).
 _SUPPORT_2Q = np.array([[*x, *z] for x, z in _PAULI_2Q_BITS], dtype=np.uint8)
 
 
-_SUPPORT_1Q_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
-
-
 def _support_1q(n: int, local: int) -> np.ndarray:
     """The X/Y/Z support on one local qubit as a (3, 2n) bit matrix."""
-    key = (n, local)
-    if key not in _SUPPORT_1Q_CACHE:
-        rows = [
-            [*x, *z]
-            for x, z in (_pauli_bits_n(ch, local, n) for ch in _PAULI_1Q)
-        ]
-        _SUPPORT_1Q_CACHE[key] = np.array(rows, dtype=np.uint8)
-    return _SUPPORT_1Q_CACHE[key]
+    rows = [
+        [*x, *z]
+        for x, z in (_pauli_bits_n(ch, local, n) for ch in _PAULI_1Q)
+    ]
+    return np.array(rows, dtype=np.uint8)
 
-
-def _walsh_factors(support: np.ndarray, x_maps: np.ndarray,
-                   probs: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Per-site survival factors for one class of error sites, batched.
-
-    ``support`` is the (s, 2n) bit matrix of the Paulis a site draws from
-    uniformly, ``x_maps`` the (g, 2n, n) suffix maps taking injected (x|z)
-    bits to final x bits, ``probs`` the (g,) per-site firing probabilities.
-    Returns the (g, 2**n) factors multiplying the Walsh characteristic
-    function ``chi``.
-    """
-    out_x = (support @ x_maps) % 2  # (g, s, n)
-    idx = out_x[..., 0].astype(np.intp)
-    if x_maps.shape[2] == 2:
-        idx = idx + 2 * out_x[..., 1]
-    dim = signs.shape[0]
-    q_dist = (idx[..., None] == np.arange(dim)).mean(axis=1)  # (g, dim)
-    return (1.0 - probs)[:, None] + probs[:, None] * (q_dist @ signs)
 
 #: Walsh character tables over Z_2^n for n = 1, 2: sign[y][x] = (-1)^(y.x)
 _WALSH = {
@@ -121,48 +95,147 @@ _WALSH = {
     ),
 }
 
-#: Memoized suffix symplectic matrices, keyed by a shared sequence's
-#: ``cache_token`` (plus the decoherence flag, which changes the flattened
-#: gate list).  Shared sequences recur across every experiment of a pair
-#: sweep — and across the fresh per-task executors a campaign pool builds —
-#: so their 2n x 2n GF(2) suffix products are computed once per process.
-_SUFFIX_CACHE: Dict[Tuple, List[np.ndarray]] = {}
-_SUFFIX_CACHE_LIMIT = 16384
 
+@lru_cache(maxsize=None)
+def _walsh_table(n: int) -> np.ndarray:
+    """Probability-free Walsh weights of every error class at every x-map.
 
-def _suffix_matrices(n: int, gates: List[Tuple[str, Tuple[int, ...], int]],
-                     token, include_decoherence: bool) -> List[np.ndarray]:
-    """Suffix symplectic matrices for one target's flattened gate list.
-
-    ``suffix[t]`` maps the (x|z) bits of a Pauli injected *after* gate
-    ``t-1`` to its final x bits: the x-part of a pushed Pauli is linear in
-    the input bits over GF(2), phases never matter for survival, so the
-    whole suffix reduces to a 2n x 2n bit matrix composed by matmul.
-    Results are memoized under ``token`` when the sequence came from
-    :func:`~repro.rb.sequences.shared_rb_sequence`.
+    An error site draws a Pauli uniformly from its class's support; the
+    suffix Clifford maps the Pauli's (x|z) bits to final x bits through a
+    (2n, n) GF(2) matrix, the site's *x-map*, whose bits read row-major
+    spell an integer ``code``.  ``table[c, code]`` is ``q_dist @ signs``:
+    the Walsh transform of the distribution of final x bits.  A site
+    firing with probability ``p`` multiplies the characteristic function
+    by ``(1 - p) + p * W``.  Classes, by id: 0 = CNOT (uniform over the
+    15 two-qubit Paulis; NaN for n = 1), ``1 + l`` = 1q gate on local
+    qubit ``l`` (uniform X/Y/Z), ``1 + n + 3 l + k`` = idle kick ``k``
+    (0/1/2 = X/Y/Z) on local qubit ``l``.
     """
-    from repro.rb.clifford import _gate_tableau
+    bits = 2 * n * n
+    codes = np.arange(2 ** bits)
+    x_maps = ((codes[:, None] >> np.arange(bits)) & 1).astype(np.uint8)
+    x_maps = x_maps.reshape(-1, 2 * n, n)
+    supports = [_SUPPORT_2Q if n == 2 else None]
+    supports += [_support_1q(n, local) for local in range(n)]
+    supports += [_support_1q(n, local)[k:k + 1]
+                 for local in range(n) for k in range(3)]
+    table = np.full((len(supports), len(codes), 2 ** n), np.nan)
+    for c, support in enumerate(supports):
+        if support is None:
+            continue
+        out_x = (support @ x_maps) % 2  # (codes, s, n)
+        idx = out_x[..., 0].astype(np.intp)
+        if n == 2:
+            idx = idx + 2 * out_x[..., 1]
+        q_dist = (idx[..., None] == np.arange(2 ** n)).mean(axis=1)
+        table[c] = q_dist @ _WALSH[n]
+    return table
 
+
+@dataclass(frozen=True)
+class _SequencePlan:
+    """What the exact estimator needs from one sequence on ``n`` qubits.
+
+    Everything here depends on the sequence alone — never on error
+    probabilities — so one plan serves every experiment that draws the
+    sequence.  Layers are the sequence's Clifford elements (inverse
+    last).  Error sites are ordered by class in the order their factors
+    multiply: the CNOTs, then the 1q gates of each local qubit in order of
+    its first gate, then (with decoherence) the idle X, Y, Z kicks after
+    every layer on local qubit 0, then on qubit 1; within a class, in
+    gate (layer) order.
+    """
+
+    layer_cx: np.ndarray     # (L,) CNOTs per layer
+    layer_gates: np.ndarray  # (L,) gates per layer
+    site_class: np.ndarray   # (N,) error class id (see _walsh_table)
+    site_layer: np.ndarray   # (N,) layer each site belongs to
+    weights: np.ndarray      # (N, 2**n) Walsh weights W of each site
+    class_sizes: np.ndarray  # sites per class, in product order (none empty)
+
+
+#: Memoized plans, keyed by a shared sequence's ``cache_token`` (plus the
+#: decoherence flag, which adds the idle sites).  Shared sequences recur
+#: across every experiment of a pair sweep — and across the fresh
+#: per-task executors a campaign pool builds — so each is planned once per
+#: process.
+_PLAN_CACHE: Dict[Tuple, _SequencePlan] = {}
+_PLAN_CACHE_LIMIT = 16384
+
+
+def _sequence_plan(seq: RBSequence, n: int,
+                   include_decoherence: bool) -> _SequencePlan:
+    """The :class:`_SequencePlan` of ``seq``, memoized when it is shared.
+
+    A site's x-map is the x-columns of the GF(2) product of every gate
+    after it (the x-part of a pushed Pauli is linear in its input bits and
+    phases never matter for survival).  That product splits into the
+    suffix *within* the site's Clifford element, which the group keeps per
+    element (:meth:`~repro.rb.clifford.CliffordGroup.gate_suffixes`), and
+    the tail product of the elements after it, built with one GF(2)
+    product per element.
+    """
     key = None
-    if token is not None:
-        key = (token, include_decoherence)
-        cached = _SUFFIX_CACHE.get(key)
-        if cached is not None:
-            return cached
-    suffix_mats: List[Optional[np.ndarray]] = [None] * (len(gates) + 1)
-    suffix_mats[len(gates)] = np.eye(2 * n, dtype=np.uint8)
-    for t in range(len(gates) - 1, -1, -1):
-        name, qs, _ = gates[t]
-        if name == "__idle__":
-            suffix_mats[t] = suffix_mats[t + 1]
-        else:
-            gate_mat = _gate_tableau(n, name, qs).mat
-            suffix_mats[t] = (gate_mat @ suffix_mats[t + 1]) % 2
+    if seq.cache_token is not None:
+        key = (seq.cache_token, include_decoherence)
+        plan = _PLAN_CACHE.get(key)
+        if plan is not None:
+            return plan
+    group = clifford_group(n)
+    elements = (*seq.elements, seq.inverse)
+    num_layers = len(elements)
+    # tails[k]: x-columns of the product of the elements after layer k.
+    # uint8 products wrap modulo 256, which keeps parity, so one reduction
+    # mod 2 at the end gives the GF(2) products.
+    tails = np.empty((num_layers, 2 * n, n), dtype=np.uint8)
+    tails[-1] = np.eye(2 * n, dtype=np.uint8)[:, :n]
+    for k in range(num_layers - 2, -1, -1):
+        np.matmul(elements[k + 1].tableau.mat, tails[k + 1], out=tails[k])
+    tails &= 1
+    gate_class = np.array([0 if name == "cx" else 1 + qs[0]
+                           for el in elements for name, qs in el.gates],
+                          dtype=np.int64)
+    layer_gates = np.array([len(el.gates) for el in elements])
+    gate_layer = np.repeat(np.arange(num_layers), layer_gates)
+    layer_cx = np.bincount(gate_layer[gate_class == 0], minlength=num_layers)
+    suffixes = np.concatenate([group.gate_suffixes(el.index)
+                               for el in elements])
+    code_of = 1 << np.arange(2 * n * n)
+    gate_code = ((suffixes @ tails[gate_layer]) & 1).reshape(
+        len(gate_layer), 2 * n * n) @ code_of
+    # Product order: CNOTs first, then each local qubit's 1q gates in order
+    # of that qubit's first gate.
+    rank = np.zeros(1 + n, dtype=np.int64)
+    for r, c in enumerate(dict.fromkeys(gate_class[gate_class > 0].tolist())):
+        rank[c] = r + 1
+    order = np.argsort(rank[gate_class], kind="stable")
+    classes = [gate_class[order]]
+    layers = [gate_layer[order]]
+    codes = [gate_code[order]]
+    sizes = np.bincount(rank[gate_class])
+    sizes = [sizes[sizes > 0]]
+    if include_decoherence:
+        # An idle kick after layer k sees the tail after layer k.
+        idle_classes = np.arange(1 + n, 1 + 4 * n)
+        classes.append(np.repeat(idle_classes, num_layers))
+        layers.append(np.tile(np.arange(num_layers), len(idle_classes)))
+        codes.append(np.tile(tails.reshape(num_layers, -1) @ code_of,
+                             len(idle_classes)))
+        sizes.append(np.full(len(idle_classes), num_layers))
+    site_class = np.concatenate(classes)
+    plan = _SequencePlan(
+        layer_cx=layer_cx,
+        layer_gates=layer_gates,
+        site_class=site_class.astype(np.int8),
+        site_layer=np.concatenate(layers).astype(np.int32),
+        weights=_walsh_table(n)[site_class, np.concatenate(codes)],
+        class_sizes=np.concatenate(sizes),
+    )
     if key is not None:
-        if len(_SUFFIX_CACHE) >= _SUFFIX_CACHE_LIMIT:
-            _SUFFIX_CACHE.clear()
-        _SUFFIX_CACHE[key] = suffix_mats
-    return suffix_mats
+        if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
+            _PLAN_CACHE.clear()
+        _PLAN_CACHE[key] = plan
+    return plan
 
 
 Target = Tuple[int, ...]  # one benchmarked gate: (q,) or a coupling edge
@@ -176,10 +249,6 @@ def normalize_target(gate: Sequence[int]) -> Target:
     if len(target) == 2 and target[0] == target[1]:
         raise ValueError(f"degenerate edge {gate}")
     return target
-
-
-#: Backwards-compatible alias (pre-parallel name).
-_normalize_target = normalize_target
 
 
 @dataclass(frozen=True)
@@ -199,11 +268,14 @@ class RBConfig:
       x-part distribution is an XOR-convolution over Z_2^2 evaluated with
       a 4-point Walsh-Hadamard characteristic function.  Zero Monte-Carlo
       variance; only sequence sampling (and optional shot) noise remains.
-      Error sites are batched per class (CNOT, single-qubit, idle) and
-      evaluated as one numpy Walsh-character product per class.
+      Each sequence is reduced once to a probability-free *plan* (per-layer
+      CNOT and gate counts, every error site's layer and Walsh weights),
+      memoized under the shared sequence's ``cache_token``; an experiment
+      then scores all ``len(lengths) x num_sequences`` sequence sets in one
+      numpy pass over every error site.
     * ``"exact-scalar"`` — the pre-vectorization reference implementation
       of the exact estimator: identical mathematics, one Python loop
-      iteration per gate and error site.  Kept as the parity baseline the
+      iteration per gate and error site.  Kept as the parity reference the
       regression tests (and the perf benchmark's serial leg) compare
       against.
     * ``"sampled"`` — reference implementation: Monte-Carlo error
@@ -270,7 +342,7 @@ class SRBResult:
         paper's procedure).  Single-qubit targets: error per physical gate
         (Clifford error / the 1q group's average decomposition length).
         """
-        target = _normalize_target(gate)
+        target = normalize_target(gate)
         fit = self.fits[target]
         if len(target) == 2:
             return fit.error_per_cnot()
@@ -333,11 +405,15 @@ class RBExecutor:
         the original simultaneous-RB "addressability" protocol [16]);
         targets across all units must be disjoint in qubits.
         """
+        if not units:
+            raise ValueError("an experiment needs at least one unit")
+        if any(len(unit) == 0 for unit in units):
+            raise ValueError("an experiment unit has no targets")
         started = time.perf_counter()
         targets: List[Target] = []
         for unit in units:
             for gate in unit:
-                targets.append(_normalize_target(gate))
+                targets.append(normalize_target(gate))
         if len(set(targets)) != len(targets):
             raise ValueError("a target appears twice in the experiment")
         used_qubits = [q for t in targets for q in t]
@@ -354,37 +430,34 @@ class RBExecutor:
 
         cfg = self.config
         rng = self._experiment_rng(targets)
-        sorted_targets = sorted(targets)
-        seed_class = (self._fingerprint, self.day, self.base_seed)
+        draws = [(li, si) for li in range(len(cfg.lengths))
+                 for si in range(cfg.num_sequences)]
+        batch = None
+        if cfg.share_sequences and cfg.estimate == "exact":
+            # Shared sequences leave the experiment stream to shot noise
+            # alone, so every sequence set is scored in one pass up front
+            # without reordering the stream's draws.
+            batch = self._exact_survivals(targets, [
+                self._sequence_set(targets, cfg.lengths[li], si, rng)
+                for li, si in draws
+            ]).tolist()
         survivals: Dict[Target, List[List[float]]] = {
             t: [[] for _ in cfg.lengths] for t in targets
         }
-        for li, length in enumerate(cfg.lengths):
-            for si in range(cfg.num_sequences):
-                if cfg.share_sequences:
-                    # Amortized path: one stably generated sequence per
-                    # (n, length, repeat, slot) reused across the sweep;
-                    # the experiment stream is only consumed for shot noise.
-                    seqs = {
-                        t: shared_rb_sequence(
-                            len(t), length, si, sorted_targets.index(t),
-                            seed_class,
-                        )
-                        for t in targets
-                    }
-                else:
-                    seqs = {
-                        t: generate_rb_sequence(
-                            clifford_group(len(t)), length, rng
-                        )
-                        for t in targets
-                    }
-                means = self._run_sequences(targets, seqs, rng)
-                for t in targets:
-                    value = means[t]
-                    if cfg.shots is not None:
-                        value = rng.binomial(cfg.shots, value) / cfg.shots
-                    survivals[t][li].append(value)
+        for d, (li, si) in enumerate(draws):
+            if batch is not None:
+                means = dict(zip(targets, batch[d]))
+            else:
+                means = self._run_sequences(
+                    targets,
+                    self._sequence_set(targets, cfg.lengths[li], si, rng),
+                    rng,
+                )
+            for t in targets:
+                value = means[t]
+                if cfg.shots is not None:
+                    value = rng.binomial(cfg.shots, value) / cfg.shots
+                survivals[t][li].append(value)
 
         mean_survivals = {
             t: [float(np.mean(vals)) for vals in survivals[t]] for t in targets
@@ -419,13 +492,33 @@ class RBExecutor:
         return self.run_units([(gate_a, gate_b)])
 
     # ------------------------------------------------------------------
+    def _sequence_set(self, targets: List[Target], length: int, index: int,
+                      rng: np.random.Generator) -> Dict[Target, RBSequence]:
+        """One random sequence per target for repeat ``index`` at ``length``."""
+        if self.config.share_sequences:
+            # Amortized path: one stably generated sequence per (n, length,
+            # repeat, slot) reused across the sweep; the experiment stream
+            # is only consumed for shot noise.
+            seed_class = (self._fingerprint, self.day, self.base_seed)
+            slots = sorted(targets)
+            return {
+                t: shared_rb_sequence(len(t), length, index, slots.index(t),
+                                      seed_class)
+                for t in targets
+            }
+        return {
+            t: generate_rb_sequence(clifford_group(len(t)), length, rng)
+            for t in targets
+        }
+
     def _run_sequences(self, edges: List[Edge],
                        seqs: Dict[Edge, RBSequence],
                        rng: Optional[np.random.Generator] = None
                        ) -> Dict[Edge, float]:
         """Mean survival per edge over the error randomness."""
         if self.config.estimate == "exact":
-            return self._run_sequences_exact(edges, seqs)
+            return dict(zip(edges, self._exact_survivals(edges, [seqs])[0]
+                            .tolist()))
         if self.config.estimate == "exact-scalar":
             return self._run_sequences_exact_scalar(edges, seqs)
         if self.config.estimate == "sampled":
@@ -504,9 +597,10 @@ class RBExecutor:
     # ------------------------------------------------------------------
     # exact estimator
     # ------------------------------------------------------------------
-    def _run_sequences_exact(self, targets: List[Target],
-                             seqs: Dict[Target, RBSequence]) -> Dict[Target, float]:
-        """Exact expected survival per target (see :class:`RBConfig`).
+    def _exact_survivals(self, targets: List[Target],
+                         seq_sets: List[Dict[Target, RBSequence]]
+                         ) -> np.ndarray:
+        """Exact expected survivals, ``(len(seq_sets), len(targets))``.
 
         Each target's n-qubit system (n = 1 or 2) evolves independently
         (error Paulis are local to the target; only their *rates* depend on
@@ -516,95 +610,137 @@ class RBExecutor:
         conjugated by their suffix Cliffords; survival is the indicator
         that ``P`` has no X/Y component.  The x-part of each (independent)
         error site is a random element of Z_2^n, so the XOR-sum's point
-        probability at 0 is the average of the product of per-site
-        characteristic values over the 2^n Walsh characters.
+        probability at 0 is the average over the 2^n Walsh characters of
+        the product of per-site factors ``(1 - p) + p * W``.
 
-        Error sites sharing a Pauli support (all CNOTs; all 1q gates on one
-        local qubit; all idle X/Y/Z kicks on one local qubit) are evaluated
-        as a single batched Walsh-character product — see
-        :func:`_walsh_factors`.  The scalar reference lives in
-        :meth:`_run_sequences_exact_scalar`.
+        ``W`` comes from each sequence's :class:`_SequencePlan`; only the
+        probabilities ``p`` depend on the experiment.  The sets' aligned
+        layers are laid end to end, each CNOT site's rate is looked up by
+        which two-qubit targets drive its layer, and every site of every
+        set is scored in one pass: per-class products, then per-(set,
+        target) products in the plan's class order — the order
+        :meth:`_run_sequences_exact_scalar`, the parity reference,
+        multiplies in.
         """
         cfg = self.config
         cal = self.device.calibration(self.day)
-        layers, depth, cx_error, unit_duration, layer_duration = \
-            self._sequence_context(targets, seqs)
+        plans = [[_sequence_plan(seqs[t], len(t), cfg.include_decoherence)
+                  for t in targets] for seqs in seq_sets]
+        depth = [max(len(plan.layer_gates) for plan in row) for row in plans]
+        offset = np.cumsum([0] + depth[:-1])
+        cx_count = np.zeros((len(targets), sum(depth)))
+        gate_count = np.zeros_like(cx_count)
+        for s, row in enumerate(plans):
+            for i, plan in enumerate(row):
+                span = slice(offset[s], offset[s] + len(plan.layer_gates))
+                cx_count[i, span] = plan.layer_cx
+                gate_count[i, span] = plan.layer_gates
+        cx_rate = self._cnot_rates(targets, cx_count > 0, cal)
+        idle_prob = None
+        if cfg.include_decoherence:
+            idle_prob = self._idle_probabilities(targets, cx_count,
+                                                 gate_count, cal)
+        gate_error = np.zeros((len(targets), 2))  # 1q gate error per local
+        if cfg.include_single_qubit_errors:
+            for i, t in enumerate(targets):
+                gate_error[i, :len(t)] = [cal.single_qubit_error[q] for q in t]
 
-        out: Dict[Target, float] = {}
-        for e in targets:
-            n = len(e)
-            signs = _WALSH[n]
-            idle_span = tuple(range(n))
-            # Flatten this target's gates with their layer index.
-            gates: List[Tuple[str, Tuple[int, ...], int]] = []
-            for k in range(len(layers[e])):
-                for name, qs in layers[e][k]:
-                    gates.append((name, qs, k))
-                if cfg.include_decoherence:
-                    gates.append(("__idle__", idle_span, k))
-            suffix_mats = _suffix_matrices(
-                n, gates, seqs[e].cache_token, cfg.include_decoherence
-            )
-
-            # Partition error sites into support classes; each class
-            # becomes one batched characteristic-function product.
-            cx_positions: List[int] = []
-            one_q_positions: Dict[int, List[int]] = {}
-            idle_sites: Dict[int, List[Tuple[int, float]]] = {}
-            for t, (name, qs, k) in enumerate(gates):
-                if name == "cx":
-                    cx_positions.append(t)
-                elif name == "__idle__":
-                    idle = layer_duration[k] - unit_duration[e][k]
-                    if idle > 1e-9:
-                        for local in range(n):
-                            idle_sites.setdefault(local, []).append((t, idle))
-                elif cfg.include_single_qubit_errors:
-                    one_q_positions.setdefault(qs[0], []).append(t)
-
-            chi = np.ones(2 ** n)
-            if cx_positions:
-                probs = np.array(
-                    [cx_error[gates[t][2]][e] for t in cx_positions]
-                )
-                keep = probs > 0.0
-                if keep.any():
-                    x_maps = np.stack(
-                        [suffix_mats[t + 1][:, :n] for t, ok
-                         in zip(cx_positions, keep) if ok]
-                    )
-                    factors = _walsh_factors(_SUPPORT_2Q, x_maps,
-                                             probs[keep], signs)
-                    chi *= factors.prod(axis=0)
-            for local, positions in one_q_positions.items():
-                prob = cal.single_qubit_error[e[local]]
-                if prob <= 0.0:
-                    continue
-                x_maps = np.stack([suffix_mats[t + 1][:, :n]
-                                   for t in positions])
-                factors = _walsh_factors(
-                    _support_1q(n, local), x_maps,
-                    np.full(len(positions), prob), signs,
-                )
-                chi *= factors.prod(axis=0)
-            for local, sites in idle_sites.items():
-                q_device = e[local]
-                gammas = np.array([
-                    decay_probabilities(idle, cal.t1[q_device],
-                                        cal.t2[q_device])
-                    for _, idle in sites
-                ])
-                p_x = gammas[:, 0] / 4.0
-                p_z = gammas[:, 0] / 4.0 + gammas[:, 1]
-                x_maps = np.stack([suffix_mats[t + 1][:, :n]
-                                   for t, _ in sites])
-                support = _support_1q(n, local)
-                for letter, probs in (("X", p_x), ("Y", p_x), ("Z", p_z)):
-                    row = support[_PAULI_1Q.index(letter):][:1]
-                    factors = _walsh_factors(row, x_maps, probs, signs)
-                    chi *= factors.prod(axis=0)
-            out[e] = float(np.clip(chi.mean(), 0.0, 1.0))
+        out = np.empty((len(plans), len(targets)))
+        for n in (1, 2):
+            cols = [i for i, t in enumerate(targets) if len(t) == n]
+            if not cols:
+                continue
+            rows = [(s, i) for s in range(len(plans)) for i in cols]
+            row_plans = [plans[s][i] for s, i in rows]
+            sizes = [len(plan.site_class) for plan in row_plans]
+            site_class = np.concatenate([p.site_class for p in row_plans])
+            layer = (np.concatenate([p.site_layer for p in row_plans])
+                     + np.repeat([offset[s] for s, _ in rows], sizes))
+            target = np.repeat([i for _, i in rows], sizes)
+            prob = np.zeros(len(site_class))
+            cnot = site_class == 0
+            prob[cnot] = cx_rate[target[cnot], layer[cnot]]
+            gate = (site_class >= 1) & (site_class <= n)
+            prob[gate] = gate_error[target[gate], site_class[gate] - 1]
+            if idle_prob is not None:
+                idle = site_class > n
+                prob[idle] = idle_prob[target[idle], site_class[idle] - 1 - n,
+                                       layer[idle]]
+            weights = np.concatenate([p.weights for p in row_plans])
+            factors = (1.0 - prob)[:, None] + prob[:, None] * weights
+            # Zero-probability factors are exactly 1, so sites the scalar
+            # reference skips leave every product bit unchanged.
+            chi = np.ones((len(rows), 2 ** n))
+            class_sizes = np.concatenate([p.class_sizes for p in row_plans])
+            if len(class_sizes):
+                per_class = np.multiply.reduceat(
+                    factors, np.cumsum(class_sizes) - class_sizes, axis=0)
+                classes = np.array([len(p.class_sizes) for p in row_plans])
+                has = classes > 0
+                chi[has] = np.multiply.reduceat(
+                    per_class, (np.cumsum(classes) - classes)[has], axis=0)
+            out[:, cols] = np.clip(chi.mean(axis=1), 0.0, 1.0).reshape(
+                len(plans), len(cols))
         return out
+
+    def _cnot_rates(self, targets: List[Target], drives: np.ndarray,
+                    cal) -> np.ndarray:
+        """Conditional CNOT error per (target, aligned layer).
+
+        ``drives[i, k]`` says whether target ``i`` fires a CNOT in layer
+        ``k``.  A target's rate depends only on *which* other two-qubit
+        targets drive alongside it, so each distinct driving pattern costs
+        one crosstalk-model lookup per driver.  Single-qubit targets never
+        condition anyone's error rates (the paper's observation that 1q
+        gates are 10x cleaner, and the device model's ground truth).
+        """
+        crosstalk = self.device.crosstalk
+        rate = np.zeros(drives.shape)
+        pairs = [i for i, t in enumerate(targets) if len(t) == 2]
+        if not pairs:
+            return rate
+        patterns, pattern_of = np.unique(drives[pairs], axis=1,
+                                         return_inverse=True)
+        by_pattern = np.zeros(patterns.shape)
+        for u in range(patterns.shape[1]):
+            drivers = np.flatnonzero(patterns[:, u])
+            for j in drivers:
+                partners = [targets[pairs[o]] for o in drivers if o != j]
+                by_pattern[j, u] = crosstalk.worst_conditional_error(
+                    targets[pairs[j]], partners, cal, self.day)
+        rate[pairs] = by_pattern[:, pattern_of.reshape(-1)]
+        return rate
+
+    def _idle_probabilities(self, targets: List[Target], cx_count: np.ndarray,
+                            gate_count: np.ndarray, cal) -> np.ndarray:
+        """Twirled decoherence kick probabilities per (target, kick, layer).
+
+        Kick ``3 l + k`` is Pauli ``k`` (X, Y, Z) on local qubit ``l``; a
+        target idles for the gap between its own busy time and the longest
+        target's in each aligned layer; gaps of at most 1e-9 ns charge
+        nothing.
+        """
+        durations = cal.durations
+        cx_duration = np.array([
+            durations.cx_duration(*t) if len(t) == 2 else 0.0 for t in targets
+        ])
+        busy = (cx_count * cx_duration[:, None]
+                + (gate_count - cx_count) * durations.single_qubit)
+        idle = busy.max(axis=0) - busy
+        probs = np.zeros((len(targets), 6, idle.shape[1]))
+        for i, t in enumerate(targets):
+            waiting = idle[i] > 1e-9
+            gaps, gap_of = np.unique(idle[i, waiting], return_inverse=True)
+            for local, q in enumerate(t):
+                decay = np.array([
+                    decay_probabilities(gap, cal.t1[q], cal.t2[q])
+                    for gap in gaps
+                ]).reshape(-1, 2)
+                p_x = decay[:, 0] / 4.0
+                p_z = decay[:, 0] / 4.0 + decay[:, 1]
+                for k, p in enumerate((p_x, p_x, p_z)):
+                    probs[i, 3 * local + k, waiting] = p[gap_of]
+        return probs
 
     def _run_sequences_exact_scalar(
             self, targets: List[Target],

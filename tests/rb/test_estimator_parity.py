@@ -1,9 +1,10 @@
-"""The vectorized exact estimator must match the scalar reference (satellite).
+"""The batched exact estimator must match the scalar reference (satellite).
 
-``estimate="exact"`` batches error sites per class (CNOT, single-qubit,
-idle) into numpy Walsh-character products; ``estimate="exact-scalar"`` is
-the pre-vectorization site-by-site loop.  Identical mathematics — so fitted
-error rates must agree to 1e-12 across every noise-model configuration.
+``estimate="exact"`` scores every error site of every sequence set of an
+experiment in one numpy pass over per-sequence plans;
+``estimate="exact-scalar"`` is the pre-vectorization site-by-site loop.
+Identical mathematics — so survivals must agree to 1e-12 across every
+noise-model configuration, experiment shape, and sequence-drawing mode.
 """
 
 import dataclasses
@@ -20,6 +21,25 @@ _NOISE_CASES = [
     dict(include_decoherence=True, include_single_qubit_errors=True),
     dict(include_decoherence=False, include_single_qubit_errors=False),
     dict(include_decoherence=True, include_single_qubit_errors=False),
+]
+
+_SRB_PAIR = [((0, 1), (2, 3))]
+
+#: A planted pair, an unplanted pair, an independent edge and a 1q
+#: spectator: three two-qubit targets whose layer-driving masks differ.
+_MIXED = [((10, 15), (11, 12)), ((0, 1), (2, 3)), ((16, 17),), ((4,),)]
+
+#: (units, RBConfig overrides, test id)
+_CASES = [
+    (_SRB_PAIR, noise,
+     "decay={include_decoherence},1q={include_single_qubit_errors}".format(
+         **noise))
+    for noise in _NOISE_CASES
+] + [
+    (_MIXED, {}, "mixed"),
+    (_MIXED, dict(include_decoherence=True), "mixed,decay=True"),
+    (_MIXED, dict(shots=256), "mixed,shots=256"),
+    (_MIXED, dict(share_sequences=False), "mixed,unshared"),
 ]
 
 
@@ -43,11 +63,11 @@ def _assert_parity(fast, ref, units):
             )
 
 
-@pytest.mark.parametrize("noise", _NOISE_CASES, ids=lambda c: "decay={include_decoherence},1q={include_single_qubit_errors}".format(**c))
-def test_vectorized_matches_scalar_srb_pair(poughkeepsie, noise):
-    units = [((0, 1), (2, 3))]
-    fast = _run(poughkeepsie, dataclasses.replace(_BASE, estimate="exact", **noise), units)
-    ref = _run(poughkeepsie, dataclasses.replace(_BASE, estimate="exact-scalar", **noise), units)
+@pytest.mark.parametrize("units,overrides", [case[:2] for case in _CASES],
+                         ids=[case[2] for case in _CASES])
+def test_vectorized_matches_scalar_srb_pair(poughkeepsie, units, overrides):
+    fast = _run(poughkeepsie, dataclasses.replace(_BASE, estimate="exact", **overrides), units)
+    ref = _run(poughkeepsie, dataclasses.replace(_BASE, estimate="exact-scalar", **overrides), units)
     _assert_parity(fast, ref, units)
 
 

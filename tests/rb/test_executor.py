@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.rb import executor as rb_executor
 from repro.rb.executor import RBConfig, RBExecutor
+from repro.rb.interleaved import InterleavedRB
 
 
 @pytest.fixture()
@@ -33,6 +35,14 @@ class TestValidation:
     def test_overlapping_qubits_rejected(self, executor):
         with pytest.raises(ValueError, match="overlap"):
             executor.run_units([((0, 1),), ((1, 2),)])
+
+    def test_empty_experiment_rejected(self, executor):
+        with pytest.raises(ValueError, match="at least one unit"):
+            executor.run_units([])
+
+    def test_empty_unit_rejected(self, executor):
+        with pytest.raises(ValueError, match="no targets"):
+            executor.run_units([()])
 
 
 class TestErrorRecovery:
@@ -189,3 +199,50 @@ class TestEstimators:
         result = executor.run_independent((0, 1))
         for v in result.survivals[(0, 1)]:
             assert v == pytest.approx(1.0)
+
+
+class TestExactKernel:
+    """Invariants of the batched exact estimator itself."""
+
+    TARGETS = [(10, 15), (11, 12), (0, 1), (4,)]
+
+    @pytest.mark.parametrize("decoherence", [False, True],
+                             ids=["decay=False", "decay=True"])
+    def test_batch_equals_one_set_calls(self, poughkeepsie, decoherence):
+        # Sets of different lengths share one pass; each set's survivals
+        # must not depend on which other sets are scored with it.
+        config = RBConfig(lengths=(2, 6, 10), num_sequences=2,
+                          include_decoherence=decoherence)
+        executor = RBExecutor(poughkeepsie, config=config, seed=3)
+        rng = np.random.default_rng(0)
+        sets = [executor._sequence_set(self.TARGETS, length, si, rng)
+                for length in config.lengths
+                for si in range(config.num_sequences)]
+        batch = executor._exact_survivals(self.TARGETS, sets)
+        one_by_one = np.stack([
+            executor._exact_survivals(self.TARGETS, [seqs])[0]
+            for seqs in sets
+        ])
+        assert np.array_equal(batch, one_by_one)
+
+    def test_cold_and_cached_plans_agree(self, poughkeepsie):
+        config = RBConfig(lengths=(2, 6, 10), num_sequences=2,
+                          include_decoherence=True)
+        executor = RBExecutor(poughkeepsie, config=config, seed=4)
+        units = [((10, 15), (11, 12)), ((4,),)]
+        rb_executor._PLAN_CACHE.clear()
+        cold = executor.run_units(units).survivals
+        planned = len(rb_executor._PLAN_CACHE)
+        assert planned > 0
+        cached = executor.run_units(units).survivals
+        assert len(rb_executor._PLAN_CACHE) == planned
+        assert cached == cold
+
+    def test_unshared_sequences_are_not_cached(self, poughkeepsie):
+        config = RBConfig(lengths=(2, 6, 10), num_sequences=2,
+                          share_sequences=False)
+        before = len(rb_executor._PLAN_CACHE)
+        RBExecutor(poughkeepsie, config=config, seed=5).run_units(
+            [((0, 1), (2, 3))])
+        InterleavedRB(poughkeepsie, config=config, seed=5).run((0, 1))
+        assert len(rb_executor._PLAN_CACHE) == before
