@@ -39,9 +39,7 @@ from repro.pipeline import (
     Pass,
     PassContext,
     Pipeline,
-    PipelineTrace,
     ResultCache,
-    TraceCollector,
     build_compile_pipeline,
 )
 
@@ -71,9 +69,7 @@ __all__ = [
     "Pass",
     "PassContext",
     "Pipeline",
-    "PipelineTrace",
     "ResultCache",
-    "TraceCollector",
     "build_compile_pipeline",
     "__version__",
 ]

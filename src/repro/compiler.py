@@ -17,9 +17,9 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.core.characterization.report import CrosstalkReport
 from repro.core.scheduling.xtalk import ScheduledCircuit
 from repro.device.device import Device
+from repro.obs.trace import Trace
 from repro.pipeline.context import PassContext
 from repro.pipeline.runner import Pipeline, build_compile_pipeline
-from repro.pipeline.trace import PipelineTrace
 
 SCHEDULER_CHOICES = ("xtalk", "par", "serial", "disable")
 
@@ -33,7 +33,7 @@ class CompilationResult:
     scheduler: str
     duration: float                    #: hardware-schedule makespan (ns)
     scheduled: Optional[ScheduledCircuit] = None  #: XtalkSched artifacts
-    trace: Optional[PipelineTrace] = None  #: per-pass timing and counters
+    trace: Optional[Trace] = None  #: per-pass timing and counters
 
     @property
     def serialized_pairs(self) -> Tuple[Tuple[int, int], ...]:

@@ -48,9 +48,9 @@ from repro.device.topology import CouplingMap, Edge, normalize_edge
 from repro.obs.events import current_run_id, log_event
 from repro.obs.live.heartbeat import heartbeat, heartbeat_step
 from repro.obs.registry import get_registry
+from repro.obs.trace import Trace, span
 from repro.parallel import ParallelEngine
 from repro.parallel.seeding import stable_entropy
-from repro.pipeline.trace import PipelineTrace, SpanRecorder
 from repro.rb.executor import RBConfig, RBExecutor, normalize_target
 from repro.resilience.checkpoint import JsonlCheckpoint
 from repro.resilience.degrade import CampaignCoverage, CoverageEntry
@@ -92,9 +92,9 @@ class CampaignOutcome:
     """A finished campaign: the report plus its cost accounting.
 
     ``trace`` reports per-stage wall time and counters (planning,
-    independent RB, pair SRB) in the same
-    :class:`~repro.pipeline.trace.PipelineTrace` format the compile
-    pipeline emits, so campaign cost and compile cost read identically.
+    independent RB, pair SRB, merge) in the same
+    :class:`~repro.obs.trace.Trace` format the compile pipeline emits, so
+    campaign cost and compile cost read identically.
 
     ``coverage`` annotates every planned unit as fresh, stale, or missing
     (all fresh unless the campaign degraded); ``failures`` holds the
@@ -106,7 +106,7 @@ class CampaignOutcome:
     plan: CharacterizationPlan
     report: CrosstalkReport
     cost_model: CostModel = field(default_factory=lambda: PAPER_COST_MODEL)
-    trace: Optional[PipelineTrace] = None
+    trace: Optional[Trace] = None
     coverage: Optional[CampaignCoverage] = None
     failures: Tuple[TaskFailure, ...] = ()
     checkpoint_hits: int = 0
@@ -299,7 +299,7 @@ class CharacterizationCampaign:
             on_mismatch=on_mismatch,
         )
 
-    def _run_stage(self, engine: ParallelEngine, recorder: SpanRecorder,
+    def _run_stage(self, engine: ParallelEngine,
                    span_name: str, stage: str, experiments: List[List[Unit]],
                    context, checkpoint: Optional[JsonlCheckpoint],
                    degradation: str) -> List:
@@ -311,7 +311,7 @@ class CharacterizationCampaign:
         the merge order — and therefore the report — is identical whether
         an experiment ran now, ran before the resume, or ran on a retry.
         """
-        with recorder.span(span_name) as span:
+        with span(span_name) as record:
             baseline = dict(engine.counters)
             keys = [_experiment_key(stage, exp) for exp in experiments]
             results: List = [None] * len(experiments)
@@ -354,10 +354,10 @@ class CharacterizationCampaign:
                     results[i] = fresh[j]
             for value in results:
                 if not isinstance(value, TaskFailure):
-                    span.add_counters(value[1])
-            span.counters.update(engine.counters_since(baseline))
+                    record.add_counters(value[1])
+            record.counters.update(engine.counters_since(baseline))
             if skipped:
-                span.counters["resilience.checkpoint.hits"] = float(skipped)
+                record.counters["resilience.checkpoint.hits"] = float(skipped)
         return results
 
     def run(self, policy: CharacterizationPolicy, day: int = 0,
@@ -375,104 +375,114 @@ class CharacterizationCampaign:
             raise ValueError("degradation must be 'strict' or 'partial'")
         registry = get_registry()
         fingerprint = device_fingerprint(self.device)
-        recorder = SpanRecorder(f"characterize[{policy.value}]")
-        recorder.trace.meta.update({
+        log_event("campaign.start", policy=policy.value, day=day,
+                  device=fingerprint)
+
+        with span(f"characterize[{policy.value}]") as root:
+            with span("plan") as record:
+                plan = self.plan(policy, prior)
+                record.counters["campaign.experiments_planned"] = float(
+                    plan.num_experiments
+                )
+                record.counters["campaign.pairs_measured"] = float(
+                    plan.units_measured()
+                )
+            checkpoint = self._open_checkpoint(checkpoint, policy, day,
+                                               on_mismatch)
+            engine = ParallelEngine(
+                workers if workers is not None else self.workers,
+                name=f"characterize[{policy.value}]",
+                retry=retry,
+                faults=faults,
+            )
+            context = (self.device, day, self.rb_config,
+                       self.seed * 65537 + day)
+            report = CrosstalkReport(day=day)
+            failures: List[TaskFailure] = []
+            entries: List[CoverageEntry] = []
+            hits_before = checkpoint.hits if checkpoint is not None else 0
+
+            with engine:
+                independent_results = self._run_stage(
+                    engine, "independent_rb", "independent",
+                    plan.independent_experiments, context, checkpoint,
+                    degradation,
+                )
+                for experiment, value in zip(plan.independent_experiments,
+                                             independent_results):
+                    if isinstance(value, TaskFailure):
+                        failures.append(value)
+                        entries.extend(self._degrade_independent(
+                            report, experiment, prior,
+                        ))
+                        continue
+                    rates, _counters = value
+                    for unit in experiment:
+                        (edge,) = unit
+                        report.record_independent(
+                            edge, rates[normalize_target(edge)],
+                        )
+                        entries.append(CoverageEntry(
+                            "edge", (normalize_edge(edge),), "fresh",
+                            source_day=day,
+                        ))
+
+                pair_results = self._run_stage(
+                    engine, "pair_srb", "pair",
+                    plan.pair_experiments, context, checkpoint, degradation,
+                )
+                for experiment, value in zip(plan.pair_experiments,
+                                             pair_results):
+                    if isinstance(value, TaskFailure):
+                        failures.append(value)
+                        entries.extend(self._degrade_pairs(
+                            report, experiment, prior,
+                        ))
+                        continue
+                    rates, _counters = value
+                    for unit in experiment:
+                        a, b = unit
+                        report.record_conditional(
+                            a, b, rates[normalize_target(a)],
+                        )
+                        report.record_conditional(
+                            b, a, rates[normalize_target(b)],
+                        )
+                        entries.append(CoverageEntry(
+                            "pair", (normalize_edge(a), normalize_edge(b)),
+                            "fresh", source_day=day,
+                        ))
+
+            with span("merge") as record:
+                if (policy is CharacterizationPolicy.HIGH_ONLY
+                        and prior is not None):
+                    report = prior.merged_with(report)
+                    record.counters["campaign.merged_with_prior"] = 1.0
+
+            coverage = CampaignCoverage(tuple(entries))
+            checkpoint_hits = (checkpoint.hits - hits_before
+                               if checkpoint is not None else 0)
+            if not coverage.complete:
+                degraded_units = len(coverage.stale) + len(coverage.missing)
+                registry.inc("resilience.degraded_pairs", degraded_units)
+                log_event(
+                    "campaign.degraded", policy=policy.value, day=day,
+                    device=fingerprint, **coverage.summary(),
+                )
+
+        trace = Trace(root.name, spans=root.children, meta={
             "device": fingerprint,
             "policy": policy.value,
             "day": day,
         })
-        log_event("campaign.start", policy=policy.value, day=day,
-                  device=fingerprint)
-
-        with recorder.span("plan") as span:
-            plan = self.plan(policy, prior)
-            span.counters["campaign.experiments_planned"] = float(
-                plan.num_experiments
-            )
-            span.counters["campaign.pairs_measured"] = float(
-                plan.units_measured()
-            )
-        checkpoint = self._open_checkpoint(checkpoint, policy, day, on_mismatch)
-        engine = ParallelEngine(
-            workers if workers is not None else self.workers,
-            name=f"characterize[{policy.value}]",
-            retry=retry,
-            faults=faults,
-        )
-        context = (self.device, day, self.rb_config, self.seed * 65537 + day)
-        report = CrosstalkReport(day=day)
-        failures: List[TaskFailure] = []
-        entries: List[CoverageEntry] = []
-        hits_before = checkpoint.hits if checkpoint is not None else 0
-
-        with engine:
-            independent_results = self._run_stage(
-                engine, recorder, "independent_rb", "independent",
-                plan.independent_experiments, context, checkpoint, degradation,
-            )
-            for experiment, value in zip(plan.independent_experiments,
-                                         independent_results):
-                if isinstance(value, TaskFailure):
-                    failures.append(value)
-                    entries.extend(self._degrade_independent(
-                        report, experiment, prior,
-                    ))
-                    continue
-                rates, _counters = value
-                for unit in experiment:
-                    (edge,) = unit
-                    report.record_independent(edge, rates[normalize_target(edge)])
-                    entries.append(CoverageEntry(
-                        "edge", (normalize_edge(edge),), "fresh",
-                        source_day=day,
-                    ))
-
-            pair_results = self._run_stage(
-                engine, recorder, "pair_srb", "pair",
-                plan.pair_experiments, context, checkpoint, degradation,
-            )
-            for experiment, value in zip(plan.pair_experiments, pair_results):
-                if isinstance(value, TaskFailure):
-                    failures.append(value)
-                    entries.extend(self._degrade_pairs(
-                        report, experiment, prior,
-                    ))
-                    continue
-                rates, _counters = value
-                for unit in experiment:
-                    a, b = unit
-                    report.record_conditional(a, b, rates[normalize_target(a)])
-                    report.record_conditional(b, a, rates[normalize_target(b)])
-                    entries.append(CoverageEntry(
-                        "pair", (normalize_edge(a), normalize_edge(b)), "fresh",
-                        source_day=day,
-                    ))
-
-        with recorder.span("merge") as span:
-            if policy is CharacterizationPolicy.HIGH_ONLY and prior is not None:
-                report = prior.merged_with(report)
-                span.counters["campaign.merged_with_prior"] = 1.0
-
-        coverage = CampaignCoverage(tuple(entries))
-        checkpoint_hits = (checkpoint.hits - hits_before
-                           if checkpoint is not None else 0)
-        if not coverage.complete:
-            degraded_units = len(coverage.stale) + len(coverage.missing)
-            registry.inc("resilience.degraded_pairs", degraded_units)
-            log_event(
-                "campaign.degraded", policy=policy.value, day=day,
-                device=fingerprint, **coverage.summary(),
-            )
-
-        trace = recorder.finish()
         registry.inc("campaign.runs")
         registry.inc("campaign.experiments", plan.num_experiments)
-        registry.observe("campaign.run_seconds", trace.total_seconds)
+        registry.observe("campaign.run_seconds", root.seconds)
         log_event(
             "campaign.end", policy=policy.value, day=day, device=fingerprint,
             experiments=plan.num_experiments,
             pairs_measured=plan.units_measured(),
-            seconds=trace.total_seconds,
+            seconds=root.seconds,
         )
         return CampaignOutcome(
             plan=plan,

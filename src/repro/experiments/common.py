@@ -24,10 +24,10 @@ from repro.device.backend import NoisyBackend
 from repro.device.device import Device
 from repro.metrics.readout import mitigate_distribution
 from repro.metrics.tomography import bell_state_vector
+from repro.obs.trace import span
 from repro.parallel import ParallelEngine
 from repro.pipeline.cache import ResultCache, campaign_cache_key
 from repro.pipeline.context import PassContext
-from repro.pipeline.trace import SpanRecorder
 from repro.pipeline.passes import scheduling_pass
 from repro.pipeline.runner import Pipeline
 from repro.rb.executor import RBConfig
@@ -129,8 +129,8 @@ def prepare_circuit(scheduler: str, circuit: QuantumCircuit, device: Device,
     """Apply one of the Table 1 scheduling policies.
 
     Runs a one-pass :class:`~repro.pipeline.runner.Pipeline` so every
-    figure driver gets per-pass instrumentation for free (traces flow to
-    any active :class:`~repro.pipeline.trace.TraceCollector`).
+    figure driver gets per-pass instrumentation for free (its
+    ``schedule[<Table 1 name>]`` span nests into any enclosing span).
     """
     if scheduler not in SCHEDULERS:
         raise ValueError(
@@ -234,18 +234,15 @@ def tomography_error(backend: NoisyBackend, prepared: QuantumCircuit,
     )
 
     settings = list(tomography_settings())
-    recorder = SpanRecorder("tomography")
-    with ParallelEngine(
+    with span("tomography") as record, ParallelEngine(
         workers if workers is not None else config.workers,
         name="tomography",
     ) as engine:
-        with recorder.span("settings") as span:
-            results = engine.map(
-                _tomography_setting_task, settings,
-                context=(backend, prepared, qubit_pair, config),
-            )
-            span.counters.update(engine.counters)
-    recorder.finish()
+        results = engine.map(
+            _tomography_setting_task, settings,
+            context=(backend, prepared, qubit_pair, config),
+        )
+        record.counters.update(engine.counters)
     dists = dict(zip(settings, results))
 
     rho = density_from_expectations(expectations_from_distributions(dists))

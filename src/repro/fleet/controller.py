@@ -54,8 +54,8 @@ from repro.obs.live.heartbeat import heartbeat
 from repro.obs.live.plane import get_plane
 from repro.obs.registry import get_registry
 from repro.obs.scorecard import DriftDay, Scorecard, drift_scorecard
+from repro.obs.trace import Trace, span
 from repro.parallel.seeding import stable_entropy
-from repro.pipeline.trace import PipelineTrace, SpanRecorder
 from repro.rb.executor import RBConfig
 from repro.resilience.checkpoint import JsonlCheckpoint
 from repro.resilience.degrade import carried_forward_coverage
@@ -107,7 +107,7 @@ class FleetOutcome:
     epochs: Dict[str, Tuple[CalibrationEpoch, ...]]
     quarantined: Tuple[str, ...]
     replays: int = 0
-    trace: Optional[PipelineTrace] = None
+    trace: Optional[Trace] = None
 
     def epoch(self, device: str, day: int) -> CalibrationEpoch:
         """The epoch published for ``device`` on ``day``."""
@@ -335,36 +335,35 @@ class FleetController:
         """
         registry = get_registry()
         registry.set("fleet.devices", len(self._names))
-        recorder = SpanRecorder("fleet.run")
-        recorder.trace.meta.update({
+        with span("fleet.run") as root:
+            checkpoint = self._open_checkpoint()
+            log_event(
+                "fleet.start", devices=list(self._names), days=days,
+                start_day=start_day, budget=self.daily_budget,
+                fleet_key=self.fleet_key(),
+            )
+            for day in range(start_day, start_day + days):
+                with span(f"fleet.tick[{day}]") as tick:
+                    self.clock.advance_to(float(day))
+                    order = self._priority_order(day)
+                    remaining = self.daily_budget
+                    log_event("fleet.tick", day=day, order=order,
+                              budget=remaining)
+                    for name in order:
+                        remaining = self._run_device(
+                            day, name, remaining, checkpoint,
+                        )
+                    registry.inc("fleet.ticks")
+                    tick.counters["fleet.budget_left"] = float(
+                        remaining if remaining is not None else -1
+                    )
+                    self._tick_telemetry(day, remaining)
+        trace = Trace(root.name, spans=root.children, meta={
             "fleet_key": self.fleet_key(),
             "devices": list(self._names),
             "days": days,
             "start_day": start_day,
         })
-        checkpoint = self._open_checkpoint()
-        log_event(
-            "fleet.start", devices=list(self._names), days=days,
-            start_day=start_day, budget=self.daily_budget,
-            fleet_key=self.fleet_key(),
-        )
-        for day in range(start_day, start_day + days):
-            with recorder.span(f"fleet.tick[{day}]") as span:
-                self.clock.advance_to(float(day))
-                order = self._priority_order(day)
-                remaining = self.daily_budget
-                log_event("fleet.tick", day=day, order=order,
-                          budget=remaining)
-                for name in order:
-                    remaining = self._run_device(
-                        day, name, remaining, checkpoint,
-                    )
-                registry.inc("fleet.ticks")
-                span.counters["fleet.budget_left"] = float(
-                    remaining if remaining is not None else -1
-                )
-                self._tick_telemetry(day, remaining)
-        trace = recorder.finish()
         outcome = self._outcome(start_day, days, trace)
         log_event(
             "fleet.end", days=days, published=self._published,
@@ -412,7 +411,7 @@ class FleetController:
             plane.tick()
 
     def _outcome(self, start_day: int, days: int,
-                 trace: Optional[PipelineTrace]) -> FleetOutcome:
+                 trace: Optional[Trace]) -> FleetOutcome:
         return FleetOutcome(
             start_day=start_day, days=days,
             epochs={name: tuple(track.epochs)

@@ -5,10 +5,11 @@ manifests), replacing the fragmented instrumentation that grew across
 PR 1 (pipeline trace spans) and PR 2 (``parallel.*`` counters and
 hand-rolled benchmark JSON).  Four pillars:
 
-* **Spans** (:mod:`repro.obs.trace`): :func:`span` opens a nested
-  wall-time span on a thread-local stack; independently-instrumented
-  layers compose into one tree.  Serializes as ``repro.obs.trace/v2``;
-  :func:`read_trace` also accepts the v1 ``repro.pipeline.trace`` schema.
+* **Spans** (:mod:`repro.obs.trace`): :func:`span` — the only way a
+  span is recorded — opens a nested wall-time span on a thread-local
+  stack; independently-instrumented layers compose into one tree, and a
+  stage's own trace is its root span's children.  Serializes as
+  ``repro.obs.trace/v2``.
 * **Metrics** (:mod:`repro.obs.registry`): a process-wide
   :class:`MetricsRegistry` of counters, gauges, and histograms with
   stable dotted names; snapshot/diff/merge lets worker-process deltas
@@ -39,14 +40,12 @@ one run's artefacts are comparable with the next's):
   crosstalk-pair detection recall/precision, drift-tracking lag, and
   scheduler serialization audits — that diff and gate like any series.
 
-Finally, the **live plane** (:mod:`repro.obs.live`) streams all of the
-above in real time for long-running runs: a :class:`TelemetryBus` tees
-events and span closes to bounded subscriber rings, a
-:class:`SnapshotPublisher` samples the registry into versioned
-``repro.obs.snapshot/v1`` documents (merged with worker heartbeats), an
-:class:`AlertEngine` evaluates declarative threshold + sustain rules per
-snapshot with a firing/resolved lifecycle, and stdlib exporters render
-Prometheus text format and tail-able snapshot JSONL
+Finally, the **live plane** (:mod:`repro.obs.live`) watches long-running
+runs in real time: a :class:`SnapshotPublisher` samples the registry
+into versioned ``repro.obs.snapshot/v1`` documents (merged with worker
+heartbeats), an :class:`AlertEngine` evaluates declarative threshold +
+sustain rules per snapshot with a firing/resolved lifecycle, and stdlib
+exporters render Prometheus text format and tail-able snapshot JSONL
 (``python -m repro.obs tail --follow`` / ``top``).  Everything in the
 live plane is a side-channel observer: seeded results are bitwise
 identical with it on or off.
@@ -130,34 +129,21 @@ from .scorecard import (
 )
 from .session import Session
 from .trace import (
-    TRACE_COLLECTION_SCHEMA,
-    TRACE_COLLECTION_SCHEMA_V1,
     TRACE_SCHEMA,
-    TRACE_SCHEMA_V1,
-    PassSpan,
-    PipelineTrace,
     Span,
-    SpanRecorder,
     Trace,
-    TraceCollector,
-    add_span_observer,
     current_span,
-    emit_trace,
     read_trace,
-    read_traces,
-    remove_span_observer,
     span,
 )
 from .live import (
     SNAPSHOT_SCHEMA,
     AlertEngine,
     AlertRule,
-    BusEventSink,
     HeartbeatBoard,
     LivePlane,
     SnapshotPublisher,
     SnapshotWriter,
-    TelemetryBus,
     build_series,
     default_fleet_rules,
     get_plane,
@@ -174,12 +160,7 @@ from .live import (
 
 __all__ = [
     # trace
-    "TRACE_SCHEMA", "TRACE_SCHEMA_V1",
-    "TRACE_COLLECTION_SCHEMA", "TRACE_COLLECTION_SCHEMA_V1",
-    "Span", "PassSpan", "Trace", "PipelineTrace",
-    "SpanRecorder", "TraceCollector",
-    "span", "current_span", "emit_trace", "read_trace", "read_traces",
-    "add_span_observer", "remove_span_observer",
+    "TRACE_SCHEMA", "Span", "Trace", "span", "current_span", "read_trace",
     # registry
     "METRICS_SCHEMA", "Counter", "DeltaWindow", "Gauge", "Histogram",
     "MetricsRegistry",
@@ -208,7 +189,7 @@ __all__ = [
     # session / reporting
     "Session", "report", "load_report_document",
     # live plane
-    "SNAPSHOT_SCHEMA", "TelemetryBus", "BusEventSink", "HeartbeatBoard",
+    "SNAPSHOT_SCHEMA", "HeartbeatBoard",
     "SnapshotPublisher", "SnapshotWriter", "AlertRule", "AlertEngine",
     "LivePlane", "live_plane", "get_plane", "default_fleet_rules",
     "heartbeat", "heartbeat_step", "heartbeats_active",

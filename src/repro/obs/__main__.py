@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="deterministic span profile of a trace (self/total, "
              "collapsed stacks, speedscope)",
     )
-    prof.add_argument("trace", help="trace JSON file (v1 or v2)")
+    prof.add_argument("trace", help="trace JSON file (repro.obs.trace/v2)")
     prof.add_argument("--format",
                       choices=("text", "json", "collapsed", "speedscope"),
                       default="text", help="output format (default text)")

@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from .manifest import MANIFEST_SCHEMA
 from .registry import METRICS_SCHEMA
-from .trace import TRACE_SCHEMA, TRACE_SCHEMA_V1, Trace, read_trace
+from .trace import TRACE_SCHEMA, Trace, read_trace
 
 #: Schema identifier stamped into every history record.
 HISTORY_SCHEMA = "repro.obs.history/v1"
@@ -222,7 +222,7 @@ def load_run_record(source: Union[str, dict]) -> RunRecord:
     if schema == METRICS_SCHEMA:
         return RunRecord(run_id=doc.get("run_id", "unknown"),
                          name="metrics", series=summarize_metrics(doc))
-    if schema in (TRACE_SCHEMA, TRACE_SCHEMA_V1):
+    if schema == TRACE_SCHEMA:
         trace = read_trace(doc)
         return RunRecord(run_id=trace.run_id or "unknown", name=trace.name,
                          series=summarize_trace(trace))

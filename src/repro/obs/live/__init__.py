@@ -3,9 +3,6 @@
 ``repro.obs.live`` layers real-time observability on the recorded
 ``repro.obs`` stack without touching any seeded computation:
 
-* :mod:`~repro.obs.live.bus` — in-process :class:`TelemetryBus` with
-  bounded subscriber rings and explicit drop accounting; never blocks
-  the hot path.
 * :mod:`~repro.obs.live.heartbeat` — worker/stage progress beats,
   recorded parent-side and merged into every snapshot.
 * :mod:`~repro.obs.live.snapshot` — the versioned
@@ -31,7 +28,6 @@ from .alerts import (
     queue_latency_rule,
     task_failure_rule,
 )
-from .bus import BusEventSink, Subscription, TelemetryBus
 from .export import prometheus_exposition, validate_exposition, write_prometheus
 from .heartbeat import (
     HeartbeatBoard,
@@ -55,14 +51,11 @@ from .snapshot import (
 __all__ = [
     "AlertEngine",
     "AlertRule",
-    "BusEventSink",
     "HeartbeatBoard",
     "LivePlane",
     "SNAPSHOT_SCHEMA",
     "SnapshotPublisher",
     "SnapshotWriter",
-    "Subscription",
-    "TelemetryBus",
     "activate_board",
     "breaker_open_rule",
     "budget_rule",

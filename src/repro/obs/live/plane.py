@@ -2,10 +2,6 @@
 
 Entering a :class:`LivePlane`
 
-* creates (or adopts) a :class:`~repro.obs.live.bus.TelemetryBus` and
-  tees :func:`~repro.obs.events.log_event` (via a
-  :class:`~repro.obs.live.bus.BusEventSink`) and every span close (via
-  :func:`~repro.obs.trace.add_span_observer`) onto it;
 * activates a :class:`~repro.obs.live.heartbeat.HeartbeatBoard`, so the
   parallel engine, campaign, fleet controller, and SMT solver start
   beating progress;
@@ -19,8 +15,8 @@ Entering a :class:`LivePlane`
   ``python -m repro.obs tail --follow``) and writes a final Prometheus
   exposition to ``<directory>/metrics.prom`` on exit.
 
-Exiting stops the thread, publishes one final snapshot, detaches every
-tee, and writes the exposition.  The plane is a pure side-channel
+Exiting stops the thread, publishes one final snapshot, deactivates the
+board, and writes the exposition.  The plane is a pure side-channel
 observer: it reads the registry/board and writes only telemetry
 artifacts, so a seeded run produces bitwise-identical results with the
 plane on or off — the property the fleet soak's identity checks pin.
@@ -37,10 +33,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
-from ..events import install_sink, remove_sink
-from ..trace import Span, add_span_observer, remove_span_observer
 from .alerts import AlertEngine, AlertRule
-from .bus import BusEventSink, TelemetryBus
 from .export import write_prometheus
 from .heartbeat import HeartbeatBoard, activate_board, deactivate_board
 from .snapshot import SnapshotPublisher, SnapshotWriter
@@ -61,13 +54,13 @@ def get_plane() -> Optional["LivePlane"]:
 
 
 class LivePlane:
-    """Bundle of bus + heartbeats + publisher + alerting (module docstring).
+    """Bundle of heartbeats + publisher + alerting (module docstring).
 
     Parameters
     ----------
     directory:
         Where to stream ``snapshots.jsonl`` and write ``metrics.prom``;
-        None keeps everything in memory (bus subscribers only).
+        None keeps everything in memory (no files written).
     interval:
         Background sampling period in seconds; 0 disables the thread
         (snapshots then only happen on :meth:`tick`).
@@ -83,10 +76,8 @@ class LivePlane:
     def __init__(self, directory: Optional[str] = None, *,
                  interval: float = 0.5,
                  rules: Optional[List[AlertRule]] = None,
-                 source: str = "live", bus: Optional[TelemetryBus] = None,
-                 capacity: int = 2048, poll_interval: float = 1.0):
+                 source: str = "live", poll_interval: float = 1.0):
         self.directory = str(directory) if directory is not None else None
-        self.bus = bus if bus is not None else TelemetryBus(capacity=capacity)
         self.board = HeartbeatBoard(poll_interval=poll_interval)
         self.alerts = AlertEngine(list(rules or []))
         self._writer: Optional[SnapshotWriter] = None
@@ -94,11 +85,9 @@ class LivePlane:
             os.makedirs(self.directory, exist_ok=True)
             self._writer = SnapshotWriter(self.snapshot_path)
         self.publisher = SnapshotPublisher(
-            bus=self.bus, board=self.board, alerts=self.alerts,
+            board=self.board, alerts=self.alerts,
             writer=self._writer, interval=interval, source=source,
         )
-        self._event_sink = BusEventSink(self.bus)
-        self._span_observer = self._on_span_close
         self._entered = False
 
     # ------------------------------------------------------------------
@@ -116,13 +105,6 @@ class LivePlane:
             return None
         return os.path.join(self.directory, PROMETHEUS_FILE)
 
-    def _on_span_close(self, record: Span) -> None:
-        self.bus.publish("span", {
-            "name": record.name,
-            "seconds": record.seconds,
-            "counters": dict(record.counters),
-        })
-
     # ------------------------------------------------------------------
     def __enter__(self) -> "LivePlane":
         if self._entered:
@@ -131,8 +113,6 @@ class LivePlane:
         with _PLANE_LOCK:
             _PLANES.append(self)
         activate_board(self.board)
-        install_sink(self._event_sink)
-        add_span_observer(self._span_observer)
         self.publisher.start()
         return self
 
@@ -147,8 +127,6 @@ class LivePlane:
             # snapshot and alert states see the end-of-run series.
             self.publisher.publish()
         finally:
-            remove_span_observer(self._span_observer)
-            remove_sink(self._event_sink)
             deactivate_board(self.board)
             with _PLANE_LOCK:
                 if self in _PLANES:

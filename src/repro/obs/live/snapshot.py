@@ -21,11 +21,10 @@ view read one flat namespace.  Snapshots are *samples of observers*:
 building one reads the registry, the heartbeat board, and the alert
 engine, and writes nothing any seeded computation consumes.
 
-Each published document is teed to the plane's
-:class:`~repro.obs.live.bus.TelemetryBus` (kind ``"snapshot"``),
-appended to a :class:`SnapshotWriter` JSONL stream when configured, and
-run through the :class:`~repro.obs.live.alerts.AlertEngine`; alert
-transitions are emitted as ``obs.alert`` events.
+Each published document is appended to a :class:`SnapshotWriter` JSONL
+stream when configured and run through the
+:class:`~repro.obs.live.alerts.AlertEngine`; alert transitions are
+emitted as ``obs.alert`` events.
 
 :func:`tail_records` is the corrupt-tolerant live reader behind
 ``python -m repro.obs tail --follow``: it only parses complete lines
@@ -46,7 +45,6 @@ from ..history import summarize_metrics
 from ..profile import histogram_percentile
 from ..registry import get_registry
 from .alerts import AlertEngine
-from .bus import TelemetryBus
 from .heartbeat import HeartbeatBoard
 
 #: Schema identifier stamped into every snapshot document.
@@ -159,12 +157,10 @@ class SnapshotPublisher:
     instrumented layers do.
     """
 
-    def __init__(self, *, bus: TelemetryBus,
-                 board: Optional[HeartbeatBoard] = None,
+    def __init__(self, *, board: Optional[HeartbeatBoard] = None,
                  alerts: Optional[AlertEngine] = None,
                  writer: Optional[SnapshotWriter] = None,
                  interval: float = 0.5, source: str = "live"):
-        self.bus = bus
         self.board = board
         self.alerts = alerts
         self.writer = writer
@@ -205,7 +201,7 @@ class SnapshotPublisher:
 
     # ------------------------------------------------------------------
     def publish(self) -> dict:
-        """Sample, evaluate alerts, write, and fan out one snapshot."""
+        """Sample, evaluate alerts, and write one snapshot."""
         with self._lock:
             seq = self._seq
             self._seq += 1
@@ -233,7 +229,6 @@ class SnapshotPublisher:
                 document["alerts"] = {"firing": [], "transitions": []}
             if self.writer is not None:
                 self.writer.append(document)
-            self.bus.publish("snapshot", document)
             registry.inc("obs.live.snapshots")
             for transition in transitions:
                 registry.inc("obs.live.alerts")

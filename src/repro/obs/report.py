@@ -1,10 +1,10 @@
 """Render any obs artefact for humans (or, via ``--format json``, tools).
 
-Backs the ``python -m repro.obs report`` CLI: given a trace file (v1 or
-v2, single trace or collection), prints each trace's span tree with wall
-times and a top-k table of its counters; metrics snapshots, manifests,
-diff documents, profiles, scorecards, single history records, and whole
-``.jsonl`` history stores each get their matching table.  All functions
+Backs the ``python -m repro.obs report`` CLI: given a trace file, prints
+its span tree with wall times and a top-k table of its counters; metrics
+snapshots, manifests, diff documents, profiles, scorecards, single
+history records, and whole ``.jsonl`` history stores each get their
+matching table.  All functions
 return strings so tests and notebooks can use them directly;
 :func:`load_report_document` is the machine-readable side — it resolves a
 source to its canonical JSON document for ``--format json``.
@@ -22,7 +22,7 @@ from .manifest import MANIFEST_SCHEMA, RunManifest
 from .profile import PROFILE_SCHEMA, format_profile_report
 from .registry import METRICS_SCHEMA
 from .scorecard import SCORECARD_SCHEMA, format_scorecard_report
-from .trace import Span, Trace, _load_document, read_traces
+from .trace import Span, Trace, _load_document, read_trace
 
 #: Number of counters shown in the "top counters" table by default.
 DEFAULT_TOP_K = 12
@@ -70,14 +70,10 @@ def format_top_counters(trace: Trace, top_k: int = DEFAULT_TOP_K) -> str:
 
 
 def format_trace_report(source, top_k: int = DEFAULT_TOP_K) -> str:
-    """Full report for a trace document: span tree + top-k counters per
-    trace (collections render each trace in sequence)."""
-    traces = read_traces(source)
-    blocks: List[str] = []
-    for trace in traces:
-        blocks.append(format_span_tree(trace))
-        blocks.append(format_top_counters(trace, top_k=top_k))
-    return "\n\n".join(blocks)
+    """Full report for a trace document: span tree + top-k counters."""
+    trace = read_trace(source)
+    return (format_span_tree(trace) + "\n\n"
+            + format_top_counters(trace, top_k=top_k))
 
 
 def format_metrics_report(doc: dict, top_k: int = DEFAULT_TOP_K) -> str:
@@ -148,8 +144,8 @@ def format_record_report(record: RunRecord) -> str:
 
 
 def report(source, top_k: int = DEFAULT_TOP_K) -> str:
-    """Render any obs artefact (trace, collection, metrics snapshot,
-    manifest, diff, profile, scorecard, history record, or ``.jsonl``
+    """Render any obs artefact (trace, metrics snapshot, manifest, diff,
+    profile, scorecard, history record, or ``.jsonl``
     history store — dict, JSON text, or path) as human-readable text."""
     if isinstance(source, str) and source.endswith(".jsonl"):
         return format_history_report(RunHistory(source))

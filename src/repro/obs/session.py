@@ -2,18 +2,17 @@
 
 A :class:`Session` is the front door of :mod:`repro.obs`.  Entering one
 
-* mints a run ID and opens a **root span** on the thread-local span
-  stack, so every span any layer opens inside the block (pipeline
-  passes, parallel maps, SMT solves, backend trajectory chunks) nests
-  into one tree;
+* mints a run ID and opens a **root span** through
+  :func:`~repro.obs.trace.span`, so every span any layer opens inside the
+  block (pipeline passes, parallel maps, SMT solves, backend trajectory
+  chunks) nests into one tree — and a session opened inside another span
+  nests its whole tree there too;
 * opens a :class:`~repro.obs.registry.DeltaWindow` over the process-wide
   :class:`~repro.obs.registry.MetricsRegistry` so the session can report
   the **metric deltas** its block produced (with exact per-window
   histogram min/max);
 * installs an :class:`~repro.obs.events.EventLog` sink stamped with the
-  run ID, so :func:`~repro.obs.events.log_event` calls are captured;
-* collects every trace emitted inside the block (a
-  :class:`~repro.obs.trace.TraceCollector` is active throughout).
+  run ID, so :func:`~repro.obs.events.log_event` calls are captured.
 
 On exit the root span closes and the session exposes the four artefact
 documents — ``trace`` (v2), ``metrics`` (delta snapshot), ``events``,
@@ -29,13 +28,12 @@ which drops all four next to each other in an output directory::
 from __future__ import annotations
 
 import os
-import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from .events import EventLog, install_sink, remove_sink
 from .manifest import RunManifest, environment_info, git_revision, new_run_id
 from .registry import DeltaWindow, get_registry
-from .trace import Span, Trace, TraceCollector, _stack, emit_trace
+from .trace import Span, Trace, span
 
 
 class Session:
@@ -79,10 +77,9 @@ class Session:
         #: record so they round-trip through the store.
         self.documents: Dict[str, Any] = {}
 
-        self._root = Span(name=name)
-        self._started: Optional[float] = None
+        self._root: Optional[Span] = None
+        self._root_span = span(name)
         self._window: Optional[DeltaWindow] = None
-        self._collector = TraceCollector()
         self.event_log = EventLog(run_id=self.run_id)
 
         self.trace: Optional[Trace] = None
@@ -94,30 +91,24 @@ class Session:
         # A DeltaWindow (not a bare snapshot pair) so the session's
         # histogram deltas carry exact per-window min/max.
         self._window = get_registry().delta_window()
-        self._collector.__enter__()
         install_sink(self.event_log)
-        _stack().append(self._root)
-        self._started = time.perf_counter()
+        self._root = self._root_span.__enter__()
         self.event_log.log("session.start", name=self.name)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._root.seconds = time.perf_counter() - self._started
-        stack = _stack()
-        if stack and stack[-1] is self._root:
-            stack.pop()
+        self._root_span.__exit__(exc_type, exc, tb)
         self.event_log.log(
             "session.end", name=self.name,
             seconds=self._root.seconds,
             error=repr(exc) if exc is not None else None,
         )
         remove_sink(self.event_log)
-        self._collector.__exit__(exc_type, exc, tb)
 
         self.metrics = self._window.delta()
         self._window.close()
         self.trace = Trace(
-            pipeline=self.name,
+            name=self.name,
             spans=[self._root],
             run_id=self.run_id,
             meta=dict(self.meta),
@@ -132,19 +123,12 @@ class Session:
             environment=environment_info(),
             results=dict(self.results),
         )
-        emit_trace(self.trace)
 
     # ------------------------------------------------------------------
     @property
-    def root(self) -> Span:
-        """The session's root span (open while the session is active)."""
+    def root(self) -> Optional[Span]:
+        """The session's root span (None until the session is entered)."""
         return self._root
-
-    @property
-    def collected_traces(self) -> List[Trace]:
-        """Every trace emitted inside the session block (campaign and
-        compile traces, in addition to the session's own tree)."""
-        return self._collector.traces
 
     def write(self, directory: str) -> Dict[str, str]:
         """Write the four artefacts into ``directory``.

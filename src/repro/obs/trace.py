@@ -1,24 +1,23 @@
 """Nested wall-time spans and the ``repro.obs.trace/v2`` JSON schema.
 
-This module is the trace core of the unified observability layer.  It
-subsumes the original per-pass instrumentation of ``repro.pipeline.trace``
-(which now re-exports everything from here): every structure that existed
-in v1 — :class:`PassSpan`, :class:`PipelineTrace`, :class:`SpanRecorder`,
-:class:`TraceCollector` — keeps its name and API, and two things are new:
+This module is the trace core of the unified observability layer, and
+:func:`span` is the only way a span is recorded:
 
 * **Nesting.**  Spans form a tree.  A thread-local *span stack* tracks the
-  currently-open span; :func:`span` (and therefore every
-  :meth:`SpanRecorder.span` block) attaches the finished record as a child
-  of whatever span encloses it.  The parallel engine, the SMT solver, and
-  the noisy backend open spans of their own, so a campaign or compile run
-  produces one tree covering pipeline passes, per-map parallel task
-  timing, and solver time.
-* **Schema v2.**  Traces serialize as ``repro.obs.trace/v2``: top-level key
-  ``name`` (v1: ``pipeline``), span lists under ``spans`` (v1: flat
-  ``passes``), each span carrying its own nested ``spans``, and optional
-  ``run_id`` / ``meta``.  :func:`read_trace` is the compat reader — it
-  accepts both v1 and v2 documents (and either collection schema) and
-  returns live :class:`Trace` objects.
+  currently-open span; :func:`span` attaches the finished record as a
+  child of whatever span encloses it.  The parallel engine, the SMT
+  solver, and the noisy backend open spans of their own, so a campaign
+  or compile run produces one tree covering pipeline passes, per-map
+  parallel task timing, and solver time.
+* **Stage traces.**  A stage that hands its caller a :class:`Trace` (the
+  campaign, the fleet controller, the pass pipeline) opens one root span
+  and builds ``Trace(root.name, spans=root.children, meta=...)`` from it,
+  so the same records sit in the stage's trace and in any enclosing
+  :class:`~repro.obs.session.Session` tree.
+* **Schema v2.**  Traces serialize as ``repro.obs.trace/v2``: top-level
+  key ``name``, span lists under ``spans``, each span carrying its own
+  nested ``spans``, and optional ``run_id`` / ``meta``.  :func:`read_trace`
+  reads a document back into a live :class:`Trace`.
 
 This module deliberately imports nothing from the rest of :mod:`repro` so
 any layer (core, rb, smt, transpiler, experiments) can record spans
@@ -32,19 +31,10 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 #: Schema identifier stamped into every exported trace document.
 TRACE_SCHEMA = "repro.obs.trace/v2"
-
-#: Schema identifier for a collection of traces (one benchmark driver run).
-TRACE_COLLECTION_SCHEMA = "repro.obs.trace-collection/v2"
-
-#: The schemas this package's reader accepts for single traces.
-TRACE_SCHEMA_V1 = "repro.pipeline.trace/v1"
-
-#: The schemas this package's reader accepts for trace collections.
-TRACE_COLLECTION_SCHEMA_V1 = "repro.pipeline.trace-collection/v1"
 
 
 @dataclass
@@ -97,7 +87,7 @@ class Span:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Span":
-        """Rebuild a span (v1 pass objects have no ``spans`` key)."""
+        """Rebuild a span (leaf spans have no ``spans`` key)."""
         return cls(
             name=doc["name"],
             seconds=float(doc.get("seconds", 0.0)),
@@ -106,31 +96,19 @@ class Span:
         )
 
 
-#: Historical name: one pipeline pass's record.  Same class — spans from
-#: the pass pipeline and spans from anywhere else are interchangeable.
-PassSpan = Span
-
-
 @dataclass
 class Trace:
     """An ordered tree of every span one run recorded.
 
-    ``pipeline`` is the root name (the v1 field name is kept so existing
-    callers — and the ``compile[...]`` / ``characterize[...]`` naming
-    convention — carry over; ``name`` aliases it).  ``run_id`` and ``meta``
-    are optional v2 additions: a session id and free-form metadata such as
-    the device fingerprint.
+    ``name`` is the root name (``compile[...]``, ``characterize[...]``,
+    ``fleet.run``, a session name).  ``run_id`` and ``meta`` are optional:
+    a session id and free-form metadata such as the device fingerprint.
     """
 
-    pipeline: str
+    name: str
     spans: List[Span] = field(default_factory=list)
     run_id: Optional[str] = None
     meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def name(self) -> str:
-        """v2 name of the trace root (aliases the v1 ``pipeline`` field)."""
-        return self.pipeline
 
     @property
     def total_seconds(self) -> float:
@@ -164,14 +142,14 @@ class Trace:
         for s in self.walk():
             if s.name == name:
                 return s
-        raise KeyError(f"no span named {name!r} in trace {self.pipeline!r}")
+        raise KeyError(f"no span named {name!r} in trace {self.name!r}")
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """The trace as a ``repro.obs.trace/v2`` document."""
         doc = {
             "schema": TRACE_SCHEMA,
-            "name": self.pipeline,
+            "name": self.name,
             "total_seconds": self.total_seconds,
             "counters": self.counters(),
             "spans": [span.to_dict() for span in self.spans],
@@ -188,7 +166,7 @@ class Trace:
 
     def format(self) -> str:
         """A human-readable span-tree table (used by the examples)."""
-        lines = [f"trace {self.pipeline!r}: "
+        lines = [f"trace {self.name!r}: "
                  f"{self.total_seconds * 1e3:.1f} ms total"]
         if self.run_id:
             lines[0] += f"  (run {self.run_id})"
@@ -208,24 +186,16 @@ class Trace:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Trace":
-        """Rebuild a trace from a v1 **or** v2 document (compat reader)."""
+        """Rebuild a trace from a ``repro.obs.trace/v2`` document."""
         schema = doc.get("schema")
-        if schema == TRACE_SCHEMA_V1:
-            spans = [Span.from_dict(p) for p in doc.get("passes", [])]
-            return cls(pipeline=doc["pipeline"], spans=spans)
-        if schema == TRACE_SCHEMA:
-            spans = [Span.from_dict(s) for s in doc.get("spans", [])]
-            return cls(
-                pipeline=doc["name"],
-                spans=spans,
-                run_id=doc.get("run_id"),
-                meta=dict(doc.get("meta", {})),
-            )
-        raise ValueError(f"not a trace document (schema={schema!r})")
-
-
-#: Historical name for :class:`Trace`.
-PipelineTrace = Trace
+        if schema != TRACE_SCHEMA:
+            raise ValueError(f"not a trace document (schema={schema!r})")
+        return cls(
+            name=doc["name"],
+            spans=[Span.from_dict(s) for s in doc.get("spans", [])],
+            run_id=doc.get("run_id"),
+            meta=dict(doc.get("meta", {})),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -248,23 +218,6 @@ def current_span() -> Optional[Span]:
     return stack[-1] if stack else None
 
 
-#: Callables invoked with every closed :class:`Span` (live telemetry
-#: tees).  Observer errors are swallowed — observation must never break
-#: the observed run.
-_SPAN_OBSERVERS: List[Callable[["Span"], None]] = []
-
-
-def add_span_observer(observer: Callable[["Span"], None]) -> None:
-    """Start invoking ``observer(span)`` on every span close."""
-    _SPAN_OBSERVERS.append(observer)
-
-
-def remove_span_observer(observer: Callable[["Span"], None]) -> None:
-    """Stop invoking ``observer`` (no-op if not installed)."""
-    if observer in _SPAN_OBSERVERS:
-        _SPAN_OBSERVERS.remove(observer)
-
-
 @contextmanager
 def span(name: str) -> Iterator[Span]:
     """Open a nested wall-time span.
@@ -275,10 +228,8 @@ def span(name: str) -> Iterator[Span]:
     span, if any — so independently-instrumented layers (pipeline passes,
     the parallel engine, the SMT solver) compose into one tree without
     knowing about each other.  With no enclosing span the record simply
-    floats free; use a :class:`SpanRecorder` or
-    :class:`~repro.obs.session.Session` to root a tree.  Closed spans are
-    also handed to any registered span observers (the live telemetry
-    tee); observers may not mutate the record.
+    floats free: the caller holds the root (a
+    :class:`~repro.obs.session.Session` opens one for a whole run).
     """
     record = Span(name=name)
     stack = _stack()
@@ -292,141 +243,14 @@ def span(name: str) -> Iterator[Span]:
         parent = stack[-1] if stack else None
         if parent is not None:
             parent.children.append(record)
-        if _SPAN_OBSERVERS:
-            for observer in list(_SPAN_OBSERVERS):
-                try:
-                    observer(record)
-                except Exception:
-                    pass
-
-
-class SpanRecorder:
-    """Builds a :class:`Trace` span by span.
-
-    Used by the :class:`~repro.pipeline.runner.Pipeline` runner and
-    directly by stages that are not circuit passes (the characterization
-    campaign, tomography).  Recorder spans participate in the global span
-    stack: anything that opens spans inside a recorder block nests under
-    it, and the recorder's own spans nest under any enclosing span (a
-    :class:`~repro.obs.session.Session` root, for instance) while *also*
-    landing in the recorder's trace.
-    """
-
-    def __init__(self, pipeline: str):
-        self.trace = Trace(pipeline=pipeline)
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[Span]:
-        """One top-level span of this recorder's trace (may nest freely)."""
-        record: Optional[Span] = None
-        try:
-            with span(name) as record:
-                yield record
-        finally:
-            if record is not None:
-                self.trace.spans.append(record)
-
-    def finish(self) -> Trace:
-        """Emit the finished trace to any active collector and return it."""
-        emit_trace(self.trace)
-        return self.trace
 
 
 # ----------------------------------------------------------------------
-# trace collection
-# ----------------------------------------------------------------------
-_ACTIVE_COLLECTORS: List["TraceCollector"] = []
-
-
-def emit_trace(trace: Trace) -> None:
-    """Hand a finished trace to every active :class:`TraceCollector`."""
-    for collector in _ACTIVE_COLLECTORS:
-        collector.add(trace)
-
-
-class TraceCollector:
-    """Context manager that gathers every trace emitted while active.
-
-    Nested collectors all receive every trace.  The aggregated document the
-    benchmarks archive contains each individual trace plus fleet-wide
-    counter totals::
-
-        with TraceCollector() as traces:
-            run_fig5(...)
-        path.write_text(traces.to_json(indent=2))
-
-    Note that with nested spans, a campaign trace emitted *inside* a
-    session span overlaps the session's root trace; collection totals sum
-    over traces as emitted and may double-count overlapping trees.
-    """
-
-    def __init__(self) -> None:
-        self.traces: List[Trace] = []
-
-    def __enter__(self) -> "TraceCollector":
-        _ACTIVE_COLLECTORS.append(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _ACTIVE_COLLECTORS.remove(self)
-
-    def add(self, trace: Trace) -> None:
-        """Record one emitted trace (called by :func:`emit_trace`)."""
-        self.traces.append(trace)
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall time summed over every collected trace."""
-        return sum(t.total_seconds for t in self.traces)
-
-    def counters(self) -> Dict[str, float]:
-        """Counters summed across every collected trace."""
-        totals: Dict[str, float] = {}
-        for trace in self.traces:
-            for name, value in trace.counters().items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
-
-    def to_dict(self) -> dict:
-        """The collection as a ``repro.obs.trace-collection/v2`` doc."""
-        return {
-            "schema": TRACE_COLLECTION_SCHEMA,
-            "num_traces": len(self.traces),
-            "total_seconds": self.total_seconds,
-            "counters": self.counters(),
-            "traces": [trace.to_dict() for trace in self.traces],
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The collection document as JSON text."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-
-# ----------------------------------------------------------------------
-# the v1/v2 compat reader
+# the reader
 # ----------------------------------------------------------------------
 def read_trace(source: Union[str, dict]) -> Trace:
-    """Read one trace from a v1 or v2 document (dict, JSON text, or path).
-
-    Accepts ``repro.pipeline.trace/v1`` and ``repro.obs.trace/v2``
-    documents.  For collections use :func:`read_traces`.
-    """
-    doc = _load_document(source)
-    return Trace.from_dict(doc)
-
-
-def read_traces(source: Union[str, dict]) -> List[Trace]:
-    """Read every trace in a document: a single trace (v1 or v2) yields a
-    one-element list; a trace collection (either version) yields all of its
-    traces."""
-    doc = _load_document(source)
-    schema = doc.get("schema")
-    if schema in (TRACE_COLLECTION_SCHEMA, TRACE_COLLECTION_SCHEMA_V1):
-        return [Trace.from_dict(t) for t in doc.get("traces", [])]
-    return [Trace.from_dict(doc)]
+    """Read one ``repro.obs.trace/v2`` trace (dict, JSON text, or path)."""
+    return Trace.from_dict(_load_document(source))
 
 
 def _load_document(source: Union[str, dict]) -> dict:

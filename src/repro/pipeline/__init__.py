@@ -3,8 +3,8 @@
 The Figure 2 toolflow — layout, routing, basis decomposition,
 crosstalk-adaptive scheduling, hardware timing — expressed as swappable
 passes over a typed :class:`PassContext`, run by an instrumented
-:class:`Pipeline` that records per-pass wall time and counters into a
-JSON-exportable :class:`PipelineTrace`.  A content-keyed, size-bounded
+:class:`Pipeline` that records per-pass wall time and counters as spans
+(a JSON-exportable :class:`repro.obs.Trace` on ``context.trace``).  A content-keyed, size-bounded
 :class:`ResultCache` backs expensive derived results such as
 characterization campaign outcomes.
 
@@ -42,15 +42,6 @@ from repro.pipeline.passes import (
     scheduling_pass,
 )
 from repro.pipeline.runner import Pipeline, build_compile_pipeline
-from repro.pipeline.trace import (
-    PassSpan,
-    PipelineTrace,
-    SpanRecorder,
-    TRACE_COLLECTION_SCHEMA,
-    TRACE_SCHEMA,
-    TraceCollector,
-    emit_trace,
-)
 
 __all__ = [
     "CacheStats",
@@ -74,11 +65,4 @@ __all__ = [
     "compile_passes",
     "Pipeline",
     "build_compile_pipeline",
-    "PassSpan",
-    "PipelineTrace",
-    "SpanRecorder",
-    "TraceCollector",
-    "TRACE_SCHEMA",
-    "TRACE_COLLECTION_SCHEMA",
-    "emit_trace",
 ]

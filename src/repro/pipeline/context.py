@@ -17,7 +17,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.core.characterization.report import CrosstalkReport
 from repro.core.scheduling.xtalk import ScheduledCircuit
 from repro.device.device import Device
-from repro.pipeline.trace import PipelineTrace
+from repro.obs.trace import Trace
 
 
 @dataclass
@@ -52,7 +52,7 @@ class PassContext:
     scheduled: Optional[ScheduledCircuit] = None
     duration: Optional[float] = None
     artifacts: Dict[str, Any] = field(default_factory=dict)
-    trace: Optional[PipelineTrace] = None
+    trace: Optional[Trace] = None
 
     def __post_init__(self) -> None:
         if self.source_circuit is None and self.circuit is not None:

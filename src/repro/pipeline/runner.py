@@ -1,10 +1,11 @@
 """The :class:`Pipeline` runner: ordered passes + built-in observability.
 
 Running a pipeline threads one :class:`PassContext` through its passes in
-order, timing each pass and collecting its counters into a
-:class:`~repro.pipeline.trace.PipelineTrace` that is attached to the
-context (and to the pipeline as ``last_trace``), then emitted to any active
-:class:`~repro.pipeline.trace.TraceCollector`.
+order under one root span named after the pipeline, timing each pass as a
+child span that carries its counters.  The root's children form the
+:class:`~repro.obs.trace.Trace` attached to the context (and to the
+pipeline as ``last_trace``); the root itself nests into any enclosing
+span, such as a :class:`~repro.obs.session.Session`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from typing import Optional, Sequence, Tuple
 
 from repro.obs.events import log_event
 from repro.obs.registry import get_registry
+from repro.obs.trace import Trace, span
 from repro.pipeline.context import PassContext
 from repro.pipeline.passes import Pass, compile_passes
-from repro.pipeline.trace import PipelineTrace, SpanRecorder
 
 
 class Pipeline:
@@ -24,7 +25,7 @@ class Pipeline:
     def __init__(self, passes: Sequence[Pass], name: str = "pipeline"):
         self.passes: Tuple[Pass, ...] = tuple(passes)
         self.name = name
-        self.last_trace: Optional[PipelineTrace] = None
+        self.last_trace: Optional[Trace] = None
 
     def __repr__(self) -> str:
         stages = ", ".join(p.name for p in self.passes)
@@ -36,17 +37,17 @@ class Pipeline:
 
     # ------------------------------------------------------------------
     def run(self, context: PassContext) -> PassContext:
-        """Run every pass over ``context``; attach and emit the trace."""
+        """Run every pass over ``context`` and attach the trace."""
         registry = get_registry()
-        recorder = SpanRecorder(self.name)
-        for stage in self.passes:
-            with recorder.span(stage.name) as span:
-                counters = stage.run(context)
-                if counters:
-                    span.counters.update(counters)
-            registry.inc("pipeline.passes")
-            registry.observe("pipeline.pass_seconds", span.seconds)
-        context.trace = recorder.finish()
+        with span(self.name) as root:
+            for stage in self.passes:
+                with span(stage.name) as record:
+                    counters = stage.run(context)
+                    if counters:
+                        record.counters.update(counters)
+                registry.inc("pipeline.passes")
+                registry.observe("pipeline.pass_seconds", record.seconds)
+        context.trace = Trace(root.name, spans=root.children)
         self.last_trace = context.trace
         registry.inc("pipeline.runs")
         log_event(

@@ -1,11 +1,13 @@
 """The documentation gates, enforced from the tier-1 suite.
 
-Runs the same two stdlib-only checkers the CI docs job runs:
+Runs the same three stdlib-only checkers the CI docs job runs:
 ``tools/check_docs_links.py`` (markdown link + anchor validation over
-README.md and docs/) and ``tools/check_docstring_coverage.py`` (100%
-docstring coverage on ``src/repro/obs``), plus unit tests pinning the
-checkers' own behaviour so a regression in a tool cannot silently turn
-the gates green.
+README.md and docs/), ``tools/check_docstring_coverage.py`` (100%
+docstring coverage on ``src/repro/obs``), and
+``tools/check_metric_registry.py`` (the metric/event/span name registry
+in docs/observability.md matches what src/ emits, both ways), plus unit
+tests pinning the checkers' own behaviour so a regression in a tool
+cannot silently turn the gates green.
 """
 
 import importlib.util
@@ -42,6 +44,16 @@ def test_obs_docstring_coverage_is_complete():
     """Every public module/class/function in repro.obs has a docstring."""
     result = subprocess.run(
         [sys.executable, str(TOOLS / "check_docstring_coverage.py")],
+        cwd=REPO_ROOT, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_name_registry_matches_src():
+    """docs/observability.md documents every emitted name, and every
+    registry row names something src/ still emits."""
+    result = subprocess.run(
+        [sys.executable, str(TOOLS / "check_metric_registry.py")],
         cwd=REPO_ROOT, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
@@ -117,3 +129,92 @@ def test_docstring_checker_counts_and_exempts(tmp_path):
     # undocumented() is the only gap (privates and dunders exempt).
     assert documented == 3
     assert missing == ["function undocumented"]
+
+
+# ----------------------------------------------------------------------
+# the name-registry checker's own behaviour
+# ----------------------------------------------------------------------
+REGISTRY_DOC = """# Observability
+
+Prose mentions `plan` and `stray.metric` outside any table.
+
+### Metric name registry
+
+| name | kind | incremented by |
+|---|---|---|
+| `good.count` | counter | somewhere |
+| `fleet.staleness[<device>]` | gauge | somewhere |
+
+Events: `good.event`.
+
+### Span name registry
+
+| span | opened by |
+|---|---|
+| `<session name>` | Session root |
+| `stage`, `fleet.tick[<day>]` | somewhere |
+"""
+
+
+def registry_tree(tmp_path, source):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text(source)
+    docs = tmp_path / "observability.md"
+    docs.write_text(REGISTRY_DOC)
+    return src, docs
+
+
+DOCUMENTED_SOURCE = (
+    "registry.inc('good.count')\n"
+    "registry.set(f'fleet.staleness[{name}]', 1.0)\n"
+    "log_event('good.event')\n"
+    "with span('stage'):\n"
+    "    pass\n"
+    "with obs_span(f'fleet.tick[{day}]'):\n"
+    "    pass\n"
+)
+
+
+def test_registry_checker_passes_documented_names(tmp_path):
+    checker = load_tool("check_metric_registry")
+    assert checker.check(*registry_tree(tmp_path, DOCUMENTED_SOURCE)) == []
+
+
+@pytest.mark.parametrize("line,flagged", [
+    ("registry.inc('new.count')", "'new.count'"),
+    ("log_event('new.event')", "'new.event'"),
+    ("with span('unlisted'):\n    pass", "span name 'unlisted'"),
+    ("with obs_span(f'other[{x}]'):\n    pass", "span name prefix 'other['"),
+])
+def test_registry_checker_flags_undocumented_names(tmp_path, line, flagged):
+    checker = load_tool("check_metric_registry")
+    problems = checker.check(
+        *registry_tree(tmp_path, DOCUMENTED_SOURCE + line + "\n"))
+    assert len(problems) == 1
+    assert flagged in problems[0]
+
+
+def test_registry_checker_span_names_need_a_table_row(tmp_path):
+    checker = load_tool("check_metric_registry")
+    # `plan` is in the doc's prose but not in the span table.
+    problems = checker.check(*registry_tree(
+        tmp_path, DOCUMENTED_SOURCE + "with span('plan'):\n    pass\n"))
+    assert len(problems) == 1 and "span name 'plan'" in problems[0]
+
+
+def test_registry_checker_ignores_trace_lookups(tmp_path):
+    checker = load_tool("check_metric_registry")
+    source = DOCUMENTED_SOURCE + "trace.span('anything')\n"
+    assert checker.check(*registry_tree(tmp_path, source)) == []
+
+
+def test_registry_checker_flags_stale_rows(tmp_path):
+    checker = load_tool("check_metric_registry")
+    source = DOCUMENTED_SOURCE.replace(
+        "with span('stage'):", "with span('fleet.tick[0]'):")
+    source = source.replace("registry.inc('good.count')\n", "")
+    problems = checker.check(*registry_tree(tmp_path, source))
+    assert len(problems) == 2
+    assert any("'good.count'" in p and "stale row" in p for p in problems)
+    assert any("'stage'" in p and "stale row" in p for p in problems)

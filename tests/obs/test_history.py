@@ -56,7 +56,7 @@ class TestSummaries:
         assert series["rb.experiment_seconds.max"] == 0.9
 
     def test_trace_total_and_top_level_spans(self):
-        trace = Trace(pipeline="run", spans=[
+        trace = Trace(name="run", spans=[
             Span(name="plan", seconds=0.25),
             Span(name="merge", seconds=0.75),
         ])
@@ -86,7 +86,7 @@ class TestRunRecord:
         record = RunRecord.from_artifacts(
             manifest=manifest.to_dict(),
             metrics={"counters": {"c": 1}, "gauges": {}, "histograms": {}},
-            trace=Trace(pipeline="run", spans=[Span(name="s", seconds=0.1)]),
+            trace=Trace(name="run", spans=[Span(name="s", seconds=0.1)]),
             extra_series={"extra": 7.0},
             documents={"doc": {"k": "v"}},
         )

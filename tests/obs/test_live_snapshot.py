@@ -1,7 +1,9 @@
-"""Snapshots, alert lifecycle, Prometheus export, and the tail/top CLI."""
+"""Snapshots, alert lifecycle, Prometheus export, the tail/top CLI, and
+the live plane's lifecycle."""
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -17,12 +19,12 @@ from repro.obs.live.alerts import (
     queue_latency_rule,
     task_failure_rule,
 )
-from repro.obs.live.bus import TelemetryBus
 from repro.obs.live.export import (
     prometheus_exposition,
     validate_exposition,
     write_prometheus,
 )
+from repro.obs.live.plane import LivePlane, get_plane
 from repro.obs.live.snapshot import (
     SNAPSHOT_SCHEMA,
     SnapshotPublisher,
@@ -56,8 +58,7 @@ class TestPublisher:
     def test_publish_builds_versioned_document(self):
         with push_registry(MetricsRegistry()) as registry:
             registry.inc("fleet.ticks", 2)
-            publisher = SnapshotPublisher(bus=TelemetryBus(), interval=0,
-                                          source="test")
+            publisher = SnapshotPublisher(interval=0, source="test")
             first = publisher.publish()
             second = publisher.publish()
             assert first["schema"] == SNAPSHOT_SCHEMA
@@ -67,22 +68,16 @@ class TestPublisher:
             assert first["alerts"] == {"firing": [], "transitions": []}
             assert registry.counter("obs.live.snapshots").value == 2
 
-    def test_snapshots_tee_onto_bus(self):
-        with push_registry(MetricsRegistry()):
-            bus = TelemetryBus()
-            sub = bus.subscribe(kinds=["snapshot"])
-            SnapshotPublisher(bus=bus, interval=0).publish()
-            [envelope] = sub.poll()
-            assert envelope["record"]["schema"] == SNAPSHOT_SCHEMA
-
     def test_background_thread_publishes_and_stops(self):
-        with push_registry(MetricsRegistry()):
-            bus = TelemetryBus()
-            sub = bus.subscribe(kinds=["snapshot"])
-            publisher = SnapshotPublisher(bus=bus, interval=0.01)
+        with push_registry(MetricsRegistry()) as registry:
+            snapshots = registry.counter("obs.live.snapshots")
+            publisher = SnapshotPublisher(interval=0.01)
             publisher.start()
             try:
-                assert sub.wait(timeout=5.0)
+                deadline = time.monotonic() + 5.0
+                while snapshots.value < 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert snapshots.value >= 1
             finally:
                 publisher.stop()
             publisher.stop()  # idempotent
@@ -91,8 +86,7 @@ class TestPublisher:
         with push_registry(MetricsRegistry()) as registry:
             registry.set("fleet.max_staleness", 5.0)
             engine = AlertEngine([drift_lag_rule(days=2)])
-            publisher = SnapshotPublisher(bus=TelemetryBus(), interval=0,
-                                          alerts=engine)
+            publisher = SnapshotPublisher(interval=0, alerts=engine)
             with event_sink() as sink:
                 publisher.publish()
             [event] = sink.of("obs.alert")
@@ -291,3 +285,20 @@ class TestTailTopCli:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert main(["top", str(path)]) == EXIT_ERROR
+
+
+class TestLivePlane:
+    def test_get_plane_tracks_innermost(self):
+        with push_registry(MetricsRegistry()):
+            assert get_plane() is None
+            plane = LivePlane(interval=0)
+            with plane:
+                assert get_plane() is plane
+            assert get_plane() is None
+
+    def test_plane_is_not_reentrant(self):
+        with push_registry(MetricsRegistry()):
+            plane = LivePlane(interval=0)
+            with plane:
+                with pytest.raises(RuntimeError):
+                    plane.__enter__()

@@ -20,7 +20,7 @@ from repro.obs.trace import Span, Trace
 def trace():
     """root(1.0s) -> a(0.6) -> b(0.2); root -> a(0.1); self times:
     root 0.3, a 0.5 (0.4 + 0.1), b 0.2."""
-    return Trace(pipeline="run", run_id="r1", spans=[
+    return Trace(name="run", run_id="r1", spans=[
         Span(name="root", seconds=1.0, children=[
             Span(name="a", seconds=0.6, children=[
                 Span(name="b", seconds=0.2),

@@ -21,7 +21,7 @@ from repro.obs.trace import Span, Trace
 
 @pytest.fixture()
 def trace_doc():
-    return Trace(pipeline="run", run_id="r1", spans=[
+    return Trace(name="run", run_id="r1", spans=[
         Span(name="root", seconds=0.5, counters={"n": 3.0},
              children=[Span(name="leaf", seconds=0.2)]),
     ]).to_dict()

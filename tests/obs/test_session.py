@@ -16,6 +16,8 @@ from repro.core.characterization.campaign import (
     CharacterizationCampaign,
     CharacterizationPolicy,
 )
+from repro.device.presets import simulated_fleet
+from repro.fleet import FleetController
 from repro.obs import Session, read_manifest, read_trace, span
 from repro.obs.events import read_events
 from repro.obs.registry import push_registry
@@ -92,6 +94,26 @@ class TestSessionTree:
         (start,) = session.event_log.of("campaign.start")
         assert len(start["device"]) == 64  # sha-256 hex
 
+    def test_stage_roots_nest_under_the_session(self, finished_session):
+        session, _ = finished_session
+        assert [c.name for c in session.root.children] == [
+            "characterize[one_hop_packed]", "compile[xtalk]",
+        ]
+        compile_root = session.trace.span("compile[xtalk]")
+        assert [c.name for c in compile_root.children] == [
+            "layout", "routing", "decompose", "schedule[xtalk]",
+            "hardware_schedule",
+        ]
+
+    def test_campaign_run_seconds_is_its_root_span(self, finished_session):
+        session, _ = finished_session
+        root = session.trace.span("characterize[one_hop_packed]")
+        hist = session.metrics["histograms"]["campaign.run_seconds"]
+        assert hist["count"] == 1
+        assert hist["sum"] == root.seconds
+        (end,) = session.event_log.of("campaign.end")
+        assert end["seconds"] == root.seconds
+
 
 class TestArtifacts:
     def test_trace_file_round_trips(self, finished_session):
@@ -154,6 +176,53 @@ class TestReportCli:
         assert "error" in proc.stderr
 
 
+class TestStageTraces:
+    """A stage's outcome trace is its root span's children; a Session
+    around the stage holds the same records under the named root."""
+
+    def test_fleet_tree_shape(self):
+        devices = simulated_fleet(2, qubits=5, seed=0)
+        controller = FleetController(devices, rb_config=RBConfig.fast(),
+                                     seed=0)
+        with push_registry():
+            with Session("fleet") as session:
+                outcome = controller.run(2)
+        (fleet_run,) = session.root.children
+        assert fleet_run.name == "fleet.run"
+        assert [t.name for t in fleet_run.children] == [
+            "fleet.tick[0]", "fleet.tick[1]",
+        ]
+        policies = ["one_hop_packed", "high_only"]
+        for tick, policy in zip(fleet_run.children, policies):
+            assert [c.name for c in tick.children] == [
+                f"characterize[{policy}]",
+            ] * len(devices)
+            for campaign in tick.children:
+                assert [s.name for s in campaign.children] == [
+                    "plan", "independent_rb", "pair_srb", "merge",
+                ]
+        assert outcome.trace.name == "fleet.run"
+        assert outcome.trace.pass_names == ["fleet.tick[0]", "fleet.tick[1]"]
+        assert outcome.trace.spans == fleet_run.children
+        assert outcome.trace.meta["devices"] == ["sim00", "sim01"]
+
+    def test_campaign_trace_is_the_root_children(self):
+        (device,) = simulated_fleet(1, qubits=5, seed=0)
+        campaign = CharacterizationCampaign(device, rb_config=RBConfig.fast(),
+                                            workers=1)
+        with push_registry():
+            with Session("campaign") as session:
+                outcome = campaign.run(CharacterizationPolicy.ONE_HOP_PACKED)
+        (root,) = session.root.children
+        assert root.name == outcome.trace.name == "characterize[one_hop_packed]"
+        assert outcome.trace.pass_names == [
+            "plan", "independent_rb", "pair_srb", "merge",
+        ]
+        assert outcome.trace.spans == root.children
+        assert outcome.trace.meta["policy"] == "one_hop_packed"
+        assert len(outcome.trace.meta["device"]) == 64
+
+
 class TestSessionIsolation:
     def test_sessions_do_not_leak_span_stack(self):
         with Session("s1"):
@@ -161,6 +230,22 @@ class TestSessionIsolation:
         with span("free") as record:
             pass
         assert record.children == []
+
+    def test_session_inside_a_span_joins_the_enclosing_tree(self):
+        with Session("outer") as outer:
+            with span("before"):
+                pass
+            with Session("inner") as inner:
+                with span("work"):
+                    pass
+            with span("after"):
+                pass
+        assert [c.name for c in outer.root.children] == [
+            "before", "inner", "after",
+        ]
+        assert inner.trace.name == "inner"
+        assert inner.trace.pass_names == ["inner"]
+        assert [c.name for c in inner.root.children] == ["work"]
 
     def test_exception_inside_session_recorded(self):
         with pytest.raises(RuntimeError):

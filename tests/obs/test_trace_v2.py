@@ -1,19 +1,14 @@
-"""Trace v2: span nesting, serialization, and the v1 compat reader."""
+"""Trace v2: span nesting, serialization, and the reader."""
 
 import json
 
 import pytest
 
 from repro.obs.trace import (
-    TRACE_COLLECTION_SCHEMA,
     TRACE_SCHEMA,
-    TRACE_SCHEMA_V1,
-    Span,
-    SpanRecorder,
     Trace,
     current_span,
     read_trace,
-    read_traces,
     span,
 )
 
@@ -55,26 +50,26 @@ class TestSpanNesting:
         assert [s.name for s in root.walk()] == ["root", "leaf"]
         assert root.total_counters() == {"x": 3.0, "y": 5.0}
 
-    def test_recorder_spans_nest_under_enclosing_span(self):
-        recorder = SpanRecorder("inner-trace")
+    def test_stage_root_nests_under_enclosing_span(self):
         with span("outer") as outer:
-            with recorder.span("stage"):
-                pass
-        assert [c.name for c in outer.children] == ["stage"]
-        assert [s.name for s in recorder.trace.spans] == ["stage"]
+            with span("inner-trace") as root:
+                with span("stage"):
+                    pass
+        trace = Trace(root.name, spans=root.children)
+        assert [c.name for c in outer.children] == ["inner-trace"]
+        assert trace.name == "inner-trace"
+        assert trace.pass_names == ["stage"]
 
 
 class TestV2Serialization:
     def make_trace(self):
-        recorder = SpanRecorder("demo")
-        with recorder.span("a") as a:
-            a.add("k", 2)
-            with span("a.child") as child:
-                child.add("k", 1)
-        trace = recorder.trace
-        trace.run_id = "abc123"
-        trace.meta["device"] = "fp"
-        return trace
+        with span("demo") as root:
+            with span("a") as a:
+                a.add("k", 2)
+                with span("a.child") as child:
+                    child.add("k", 1)
+        return Trace(root.name, spans=root.children, run_id="abc123",
+                     meta={"device": "fp"})
 
     def test_document_shape(self):
         doc = self.make_trace().to_dict()
@@ -99,63 +94,19 @@ class TestV2Serialization:
         assert trace.span("a.child").counters == {"k": 1.0}
 
 
-class TestV1CompatReader:
-    V1_DOC = {
-        "schema": TRACE_SCHEMA_V1,
-        "pipeline": "compile[xtalk]",
-        "total_seconds": 0.5,
-        "counters": {"smt.solve_seconds": 0.25},
-        "passes": [
-            {"name": "routing", "seconds": 0.25,
-             "counters": {"routing.swaps_inserted": 4.0}},
-            {"name": "schedule[xtalk]", "seconds": 0.25,
-             "counters": {"smt.solve_seconds": 0.25}},
-        ],
-    }
-
-    def test_reads_v1_document(self):
-        trace = read_trace(self.V1_DOC)
-        assert trace.pipeline == trace.name == "compile[xtalk]"
-        assert trace.pass_names == ["routing", "schedule[xtalk]"]
+class TestReadTrace:
+    def test_reads_v2_json_text_and_file(self, tmp_path):
+        with span("compile[xtalk]") as root:
+            with span("routing") as routing:
+                routing.add("routing.swaps_inserted", 4)
+        text = Trace(root.name, spans=root.children).to_json()
+        trace = read_trace(text)
+        assert trace.name == "compile[xtalk]"
+        assert trace.pass_names == ["routing"]
         assert trace.counter("routing.swaps_inserted") == 4.0
-
-    def test_reads_v1_json_text_and_file(self, tmp_path):
-        text = json.dumps(self.V1_DOC)
-        assert read_trace(text).pipeline == "compile[xtalk]"
         path = tmp_path / "trace.json"
         path.write_text(text)
-        assert read_trace(str(path)).pipeline == "compile[xtalk]"
-
-    def test_v1_reserializes_as_v2(self):
-        doc = read_trace(self.V1_DOC).to_dict()
-        assert doc["schema"] == TRACE_SCHEMA
-        assert doc["name"] == "compile[xtalk]"
-        assert [s["name"] for s in doc["spans"]] == [
-            "routing", "schedule[xtalk]",
-        ]
-
-    def test_reads_v1_collection(self):
-        collection = {
-            "schema": "repro.pipeline.trace-collection/v1",
-            "num_traces": 2,
-            "traces": [self.V1_DOC, self.V1_DOC],
-        }
-        traces = read_traces(collection)
-        assert len(traces) == 2
-        assert all(t.pipeline == "compile[xtalk]" for t in traces)
-
-    def test_reads_v2_collection(self):
-        trace = Trace(pipeline="t", spans=[Span("s", 0.1)])
-        collection = {
-            "schema": TRACE_COLLECTION_SCHEMA,
-            "traces": [trace.to_dict()],
-        }
-        (rebuilt,) = read_traces(collection)
-        assert rebuilt.pipeline == "t"
-
-    def test_single_trace_reads_as_one_element_list(self):
-        (trace,) = read_traces(self.V1_DOC)
-        assert trace.pipeline == "compile[xtalk]"
+        assert read_trace(str(path)).to_dict() == trace.to_dict()
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError):

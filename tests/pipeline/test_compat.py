@@ -73,7 +73,7 @@ def test_trace_attached(poughkeepsie, pk_report, scheduler):
                              pk_report, scheduler=scheduler)
     trace = result.trace
     assert trace is not None
-    assert trace.pipeline == f"compile[{scheduler}]"
+    assert trace.name == f"compile[{scheduler}]"
     assert trace.pass_names == [
         "layout", "routing", "decompose", f"schedule[{scheduler}]",
         "hardware_schedule",

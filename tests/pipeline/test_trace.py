@@ -1,30 +1,23 @@
-"""Trace structures, the JSON export schema, and the collector hook."""
+"""Trace structures of a pipeline-shaped run and the JSON export schema."""
 
 import json
 
-from repro.pipeline.trace import (
-    TRACE_COLLECTION_SCHEMA,
-    TRACE_SCHEMA,
-    PassSpan,
-    PipelineTrace,
-    SpanRecorder,
-    TraceCollector,
-)
+from repro.obs.trace import TRACE_SCHEMA, Span, Trace, span
 
 
 def sample_trace():
-    recorder = SpanRecorder("compile[test]")
-    with recorder.span("routing") as span:
-        span.counters["routing.swaps_inserted"] = 4.0
-    with recorder.span("schedule[xtalk]") as span:
-        span.counters.update({
-            "schedule.serialized_pairs": 2.0,
-            "smt.solve_seconds": 0.25,
-        })
-    return recorder.finish()
+    with span("compile[test]") as root:
+        with span("routing") as record:
+            record.counters["routing.swaps_inserted"] = 4.0
+        with span("schedule[xtalk]") as record:
+            record.counters.update({
+                "schedule.serialized_pairs": 2.0,
+                "smt.solve_seconds": 0.25,
+            })
+    return Trace(root.name, spans=root.children)
 
 
-class TestPipelineTrace:
+class TestStageTrace:
     def test_counters_aggregate_across_spans(self):
         trace = sample_trace()
         assert trace.counter("routing.swaps_inserted") == 4.0
@@ -49,10 +42,10 @@ class TestPipelineTrace:
         assert "smt.solve_seconds" in text
 
     def test_span_add(self):
-        span = PassSpan("s")
-        span.add("n")
-        span.add("n", 2.0)
-        assert span.counters["n"] == 3.0
+        record = Span("s")
+        record.add("n")
+        record.add("n", 2.0)
+        assert record.counters["n"] == 3.0
 
 
 class TestTraceJsonSchema:
@@ -69,32 +62,7 @@ class TestTraceJsonSchema:
             assert {"name", "seconds", "counters"} <= set(s)
             assert s["seconds"] >= 0.0
 
-    def test_collection_document(self):
-        with TraceCollector() as collector:
-            sample_trace()
-            sample_trace()
-        doc = json.loads(collector.to_json())
-        assert doc["schema"] == TRACE_COLLECTION_SCHEMA
-        assert doc["num_traces"] == len(collector) == 2
-        assert doc["counters"]["routing.swaps_inserted"] == 8.0
-        assert all(t["schema"] == TRACE_SCHEMA for t in doc["traces"])
-
     def test_round_trips_through_json(self):
         doc = sample_trace().to_dict()
         assert json.loads(json.dumps(doc)) == doc
 
-
-class TestTraceCollector:
-    def test_collects_only_while_active(self):
-        sample_trace()                      # emitted before: not collected
-        with TraceCollector() as collector:
-            inner = sample_trace()
-        sample_trace()                      # emitted after: not collected
-        assert collector.traces == [inner]
-
-    def test_nested_collectors_both_receive(self):
-        with TraceCollector() as outer:
-            with TraceCollector() as inner:
-                trace = sample_trace()
-        assert outer.traces == [trace]
-        assert inner.traces == [trace]
