@@ -14,7 +14,7 @@ A separate **live probe** then times an identical fault-free fleet with
 the live telemetry plane off vs on (``fleet.live_off_seconds`` /
 ``fleet.live_on_seconds`` / ``fleet.live_overhead_ratio`` in the history
 series) and fails outright if the two runs' published epochs are not
-bitwise-identical — the exporter-overhead and pure-observer record for
+bitwise-identical — the live-plane overhead and pure-observer record for
 every benchmarked revision.
 
 Writes a ``repro.obs.manifest/v1`` document (check verdicts, injected
@@ -61,7 +61,7 @@ DEFAULT_HISTORY = REPO_ROOT / "benchmarks" / "results" / "history.jsonl"
 
 
 def live_probe(config: SoakConfig) -> tuple:
-    """Exporter overhead on a clean fleet: live plane off vs on.
+    """Live-plane overhead on a clean fleet: live plane off vs on.
 
     Two fresh fault-free controllers run the same ticks; the second runs
     under a :class:`LivePlane` (0.1s snapshots + per-tick publishes).

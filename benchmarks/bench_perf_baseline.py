@@ -21,7 +21,7 @@ the perf work delivers end-to-end:
   simulator @ 1 worker, vs the batched engine @ N workers;
 * live_overhead — the shipped campaign with the live telemetry plane
   off (``serial_seconds``) vs on (``parallel_seconds``), so the
-  ``--check`` budget doubles as the exporter-overhead gate.
+  ``--check`` budget doubles as the live-plane overhead gate.
 
 Determinism spot-checks always compare the *shipped* configuration at 1
 worker against N workers (bitwise), never serial-leg vs parallel-leg —
@@ -204,7 +204,7 @@ def bench_live_overhead(workers: int, fast: bool) -> dict:
     Unlike the other workloads, both legs run the *shipped*
     configuration; the only variable is an active
     :class:`~repro.obs.live.LivePlane` (snapshot thread + heartbeats +
-    exporters) around the ``parallel_seconds`` leg.  The two reports must
+    snapshot JSONL) around the ``parallel_seconds`` leg.  The two reports must
     be identical — the live plane is a pure observer — and
     ``overhead_ratio`` (on/off) is the number the ``--check`` budget
     gates.
@@ -237,7 +237,7 @@ def bench_live_overhead(workers: int, fast: bool) -> dict:
         "deterministic_across_worker_counts": identical,
         "notes": "serial = live plane off; parallel = identical campaign "
                  "under a LivePlane (0.05s snapshots + heartbeats + "
-                 "exporters); overhead_ratio = on/off",
+                 "snapshot JSONL); overhead_ratio = on/off",
     }
 
 

@@ -190,7 +190,7 @@ class XtalkScheduler:
 
     def __init__(self, calibration: Calibration, report: CrosstalkReport,
                  omega: float = 0.5, exact_decision_limit: int = 14,
-                 max_nodes: int = 200_000, time_limit: Optional[float] = None,
+                 max_nodes: int = 200_000,
                  minimal_barriers: bool = True, isa: str = "barrier",
                  max_solve_seconds: Optional[float] = None,
                  fallback: str = "incumbent",
@@ -213,7 +213,6 @@ class XtalkScheduler:
         self.omega = omega
         self.exact_decision_limit = exact_decision_limit
         self.max_nodes = max_nodes
-        self.time_limit = time_limit
         #: Solve-time budget in seconds.  When the solver exhausts it, the
         #: scheduler degrades instead of running arbitrarily long: with
         #: ``fallback="incumbent"`` (default) it realizes the solver's
@@ -274,12 +273,8 @@ class XtalkScheduler:
         # One Budget owns the clock for every layer of the solve — the
         # façade, nested incumbents, windows, and portfolio entrants all
         # share it via first-caller-wins arming, so the effective limit
-        # can never be extended by nesting.  ``max_solve_seconds`` (the
-        # resilience budget) wins over the legacy ``time_limit``.
-        effective_limit = (self.max_solve_seconds
-                          if self.max_solve_seconds is not None
-                          else self.time_limit)
-        budget = Budget(effective_limit)
+        # can never be extended by nesting.
+        budget = Budget(self.max_solve_seconds)
         resolved, backend = self._select_backend(model)
         solver = OptimizingSolver(
             model, cost_fn,
@@ -299,8 +294,7 @@ class XtalkScheduler:
                 self._par_fallback(circuit, pairs, started, reason,
                                    strategy=resolved)
             )
-        if (solution.interrupt == "deadline"
-                and self.max_solve_seconds is not None):
+        if solution.interrupt == "deadline":
             fallback_reason = f"solve_budget:{self.fallback}"
             self._note_fallback(fallback_reason, pairs)
             if self.fallback == "par":

@@ -21,7 +21,6 @@ experiments, which run through :meth:`NoisyBackend.schedule_of` +
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,7 +35,11 @@ from repro.obs.trace import span as obs_span
 from repro.parallel import ParallelEngine, SharedPayload, stable_seed_sequence
 from repro.resilience.faults import FaultInjector
 from repro.resilience.retry import RetryPolicy
-from repro.sim.channels import ReadoutModel, decay_probabilities
+from repro.sim.channels import (
+    ReadoutModel,
+    decay_probabilities,
+    distribution_to_counts,
+)
 from repro.sim.trajectory import (
     ENGINE_CODES,
     BatchedTrajectorySimulator,
@@ -44,10 +47,6 @@ from repro.sim.trajectory import (
 )
 from repro.transpiler.schedule import Schedule
 from repro.transpiler.scheduling import hardware_schedule
-
-#: Environment variable selecting the trajectory engine ("batched" or
-#: "scalar"); the batched engine is the default.
-SIM_ENGINE_ENV = "REPRO_SIM_ENGINE"
 
 #: Smallest and largest trajectory-chunk sizes the planner will emit.
 MIN_TRAJECTORY_CHUNK = 16
@@ -57,18 +56,6 @@ MAX_TRAJECTORY_CHUNK = 256
 #: ``n`` qubits evolves a ``B * 2**n`` complex array, so the planner sizes
 #: ``B`` to keep that array near ~32 MiB (2**21 amplitudes).
 _CHUNK_AMPLITUDE_BUDGET = 1 << 21
-
-
-def resolve_sim_engine(engine: Optional[str] = None) -> str:
-    """Resolve the trajectory engine: explicit argument, then the
-    ``REPRO_SIM_ENGINE`` environment variable, then ``"batched"``."""
-    if engine is None:
-        engine = os.environ.get(SIM_ENGINE_ENV, "").strip() or "batched"
-    if engine not in ENGINE_CODES:
-        raise ValueError(
-            f"unknown sim engine {engine!r}; pick from {sorted(ENGINE_CODES)}"
-        )
-    return engine
 
 
 def plan_trajectory_chunks(trajectories: int,
@@ -148,16 +135,21 @@ class NoisyBackend:
                  workers: Optional[int] = None,
                  retry: Optional[RetryPolicy] = None,
                  faults: Optional[FaultInjector] = None,
-                 sim_engine: Optional[str] = None):
+                 sim_engine: str = "batched"):
+        if sim_engine not in ENGINE_CODES:
+            raise ValueError(
+                f"unknown sim engine {sim_engine!r}; "
+                f"pick from {sorted(ENGINE_CODES)}"
+            )
         self.device = device
         self.day = day
         self._seed = seed if seed is not None else device.seed * 7919 + day
         self.workers = workers
         self.retry = retry
         self.faults = faults
-        #: Trajectory engine, resolved via :func:`resolve_sim_engine`
-        #: (``"batched"`` unless overridden here or by ``REPRO_SIM_ENGINE``).
-        self.sim_engine = resolve_sim_engine(sim_engine)
+        #: Trajectory engine: ``"batched"``, or the ``"scalar"`` reference
+        #: path that parity tests and serial benchmark legs select.
+        self.sim_engine = sim_engine
         #: ``parallel.*`` counters accumulated across every run (workers is
         #: a level, not an accumulator).
         self.counters: Dict[str, float] = {}
@@ -257,7 +249,9 @@ class NoisyBackend:
         The circuit is timed by the hardware scheduler (right-aligned,
         barrier-respecting) — the circuit-level ISA path.  ``workers`` fans
         the trajectory budget over a process pool; the distribution is
-        bitwise identical for every worker count.
+        bitwise identical for every worker count.  ``seed`` (default: the
+        backend's own) roots both the trajectory streams and the shot
+        sampling.
         """
         if not any(instr.is_measure for instr in circuit):
             raise ValueError("circuit has no measurements")
@@ -382,9 +376,8 @@ class NoisyBackend:
             probs = readout.restrict(measured_sim_qubits).apply_to_distribution(
                 probs, range(len(measured_sim_qubits))
             )
-        from repro.sim.channels import distribution_to_counts
-
-        counts = distribution_to_counts(probs, shots, np.random.default_rng(self._seed))
+        counts = distribution_to_counts(probs, shots,
+                                        np.random.default_rng(seed_val))
         return ExecutionResult(
             counts=counts,
             probabilities=probs,

@@ -24,11 +24,10 @@ bitwise-identical to the uninterrupted chaos run.
 The **chaos leg runs inside a live telemetry plane**
 (:class:`repro.obs.live.LivePlane` with
 :func:`~repro.obs.live.alerts.default_fleet_rules`): the soak then also
-checks that a tail-readable snapshot stream was produced mid-run, that
+checks that a tail-readable snapshot stream was produced mid-run and that
 the drift-lag / breaker alerts both *fired* (device 0 failing) and
-*resolved* (device 0 quarantined), and that the final Prometheus
-exposition parses clean.  Because the reference and resume legs run
-*without* the plane, the existing ``healthy_identity`` and
+*resolved* (device 0 quarantined).  Because the reference and resume legs
+run *without* the plane, the existing ``healthy_identity`` and
 ``resume_identity`` checks double as proof that the live plane never
 perturbs published epochs — live-on and live-off runs are
 bitwise-identical.
@@ -48,9 +47,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.device.presets import simulated_fleet
-from repro.obs.live import (
-    LivePlane, default_fleet_rules, read_snapshots, validate_exposition,
-)
+from repro.obs.live import LivePlane, default_fleet_rules, read_snapshots
 from repro.obs.scorecard import Scorecard
 from repro.parallel.seeding import stable_entropy
 from repro.rb.executor import RBConfig
@@ -85,8 +82,8 @@ class SoakConfig:
     rb_config: RBConfig = field(
         default_factory=lambda: RBConfig(lengths=(2, 4, 8), num_sequences=2)
     )
-    #: Directory for the chaos leg's live-plane artifacts (snapshot JSONL
-    #: + Prometheus exposition); None keeps them in the soak's tempdir.
+    #: Directory for the chaos leg's live-plane snapshot JSONL; None keeps
+    #: it in the soak's tempdir.
     live_dir: Optional[str] = None
     #: Background snapshot interval for the chaos leg's live plane.
     live_interval: float = 0.2
@@ -276,7 +273,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
 
 def _check_live_plane(plane: LivePlane,
                       config: SoakConfig) -> List[Tuple[str, bool, str]]:
-    """The three live-plane checks (stream, alert lifecycle, exporter).
+    """The two live-plane checks (snapshot stream, alert lifecycle).
 
     The controller publishes one snapshot per tick (plus the background
     interval and the plane's final sample), so a full chaos leg must
@@ -302,16 +299,6 @@ def _check_live_plane(plane: LivePlane,
     checks.append((
         "live_alert_lifecycle", cycled,
         f"fired/resolved per rule: {lifecycle}",
-    ))
-    try:
-        with open(plane.prometheus_path, "r", encoding="utf-8") as handle:
-            problems = validate_exposition(handle.read())
-    except OSError as error:
-        problems = [repr(error)]
-    checks.append((
-        "live_prometheus", not problems,
-        "exposition parses clean" if not problems
-        else f"problems: {problems[:3]}",
     ))
     return checks
 
@@ -366,9 +353,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", default=None,
                         help="write the result document as JSON")
     parser.add_argument("--live-dir", default=None,
-                        help="keep the chaos leg's live-plane artifacts "
-                             "(snapshots.jsonl, metrics.prom) here instead "
-                             "of the soak tempdir")
+                        help="keep the chaos leg's live-plane snapshot "
+                             "stream (snapshots.jsonl) here instead of the "
+                             "soak tempdir")
     parser.add_argument("--live-interval", type=float, default=0.2,
                         help="live-plane background snapshot interval "
                              "(seconds, default 0.2)")

@@ -44,11 +44,10 @@ Finally, the **live plane** (:mod:`repro.obs.live`) watches long-running
 runs in real time: a :class:`SnapshotPublisher` samples the registry
 into versioned ``repro.obs.snapshot/v1`` documents (merged with worker
 heartbeats), an :class:`AlertEngine` evaluates declarative threshold +
-sustain rules per snapshot with a firing/resolved lifecycle, and stdlib
-exporters render Prometheus text format and tail-able snapshot JSONL
-(``python -m repro.obs tail --follow`` / ``top``).  Everything in the
-live plane is a side-channel observer: seeded results are bitwise
-identical with it on or off.
+sustain rules per snapshot with a firing/resolved lifecycle, and the
+snapshots stream to tail-able JSONL (``python -m repro.obs tail --follow``
+/ ``top``).  Everything in the live plane is a side-channel observer:
+seeded results are bitwise identical with it on or off.
 
 See ``docs/observability.md`` for the metric/span name registry and
 schemas.
@@ -151,11 +150,8 @@ from .live import (
     heartbeat_step,
     heartbeats_active,
     live_plane,
-    prometheus_exposition,
     read_snapshots,
     tail_records,
-    validate_exposition,
-    write_prometheus,
 )
 
 __all__ = [
@@ -194,5 +190,4 @@ __all__ = [
     "LivePlane", "live_plane", "get_plane", "default_fleet_rules",
     "heartbeat", "heartbeat_step", "heartbeats_active",
     "build_series", "read_snapshots", "tail_records",
-    "prometheus_exposition", "write_prometheus", "validate_exposition",
 ]

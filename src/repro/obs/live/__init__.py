@@ -12,8 +12,6 @@
 * :mod:`~repro.obs.live.alerts` — declarative threshold + sustain
   :class:`AlertRule` evaluation with a firing/resolved lifecycle,
   emitted as ``obs.alert`` events.
-* :mod:`~repro.obs.live.export` — stdlib Prometheus text-format
-  exposition plus the matching validator.
 * :mod:`~repro.obs.live.plane` — :class:`LivePlane`, the one context
   manager that wires all of the above together.
 """
@@ -28,7 +26,6 @@ from .alerts import (
     queue_latency_rule,
     task_failure_rule,
 )
-from .export import prometheus_exposition, validate_exposition, write_prometheus
 from .heartbeat import (
     HeartbeatBoard,
     activate_board,
@@ -69,11 +66,8 @@ __all__ = [
     "heartbeats_active",
     "live_plane",
     "poll_interval",
-    "prometheus_exposition",
     "queue_latency_rule",
     "read_snapshots",
     "tail_records",
     "task_failure_rule",
-    "validate_exposition",
-    "write_prometheus",
 ]

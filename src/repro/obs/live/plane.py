@@ -12,11 +12,10 @@ Entering a :class:`LivePlane`
   ``obs.alert`` events on firing/resolved transitions;
 * when ``directory`` is given, streams snapshots to
   ``<directory>/snapshots.jsonl`` (readable mid-run with
-  ``python -m repro.obs tail --follow``) and writes a final Prometheus
-  exposition to ``<directory>/metrics.prom`` on exit.
+  ``python -m repro.obs tail --follow``).
 
 Exiting stops the thread, publishes one final snapshot, deactivates the
-board, and writes the exposition.  The plane is a pure side-channel
+board, and closes the stream.  The plane is a pure side-channel
 observer: it reads the registry/board and writes only telemetry
 artifacts, so a seeded run produces bitwise-identical results with the
 plane on or off — the property the fleet soak's identity checks pin.
@@ -34,14 +33,11 @@ from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
 from .alerts import AlertEngine, AlertRule
-from .export import write_prometheus
 from .heartbeat import HeartbeatBoard, activate_board, deactivate_board
 from .snapshot import SnapshotPublisher, SnapshotWriter
 
 #: Stream file name under the plane's directory.
 SNAPSHOT_FILE = "snapshots.jsonl"
-#: Exposition file name under the plane's directory.
-PROMETHEUS_FILE = "metrics.prom"
 
 _PLANES: List["LivePlane"] = []
 _PLANE_LOCK = threading.Lock()
@@ -59,8 +55,8 @@ class LivePlane:
     Parameters
     ----------
     directory:
-        Where to stream ``snapshots.jsonl`` and write ``metrics.prom``;
-        None keeps everything in memory (no files written).
+        Where to stream ``snapshots.jsonl``; None keeps everything in
+        memory (no files written).
     interval:
         Background sampling period in seconds; 0 disables the thread
         (snapshots then only happen on :meth:`tick`).
@@ -98,13 +94,6 @@ class LivePlane:
             return None
         return os.path.join(self.directory, SNAPSHOT_FILE)
 
-    @property
-    def prometheus_path(self) -> Optional[str]:
-        """Path of the Prometheus exposition (None when memory-only)."""
-        if self.directory is None:
-            return None
-        return os.path.join(self.directory, PROMETHEUS_FILE)
-
     # ------------------------------------------------------------------
     def __enter__(self) -> "LivePlane":
         if self._entered:
@@ -133,8 +122,6 @@ class LivePlane:
                     _PLANES.remove(self)
             if self._writer is not None:
                 self._writer.close()
-            if self.prometheus_path is not None:
-                write_prometheus(self.prometheus_path)
             self._entered = False
 
 

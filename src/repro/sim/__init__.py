@@ -8,8 +8,10 @@ original paper's experiments:
   measurement and sampling;
 * :mod:`repro.sim.channels` — noise channels (depolarizing, amplitude
   damping, dephasing, readout) in Kraus/trajectory form;
-* :mod:`repro.sim.trajectory` — Monte-Carlo trajectory execution of a noisy
-  instruction stream;
+* :mod:`repro.sim.trajectory` — batched Monte-Carlo trajectory execution
+  of a noisy instruction stream (:class:`BatchedTrajectorySimulator`);
+* :mod:`repro.sim.density` — the channel-exact density-matrix reference
+  the trajectory engine is tested against;
 * :mod:`repro.sim.stabilizer` — a CHP-style stabilizer simulator used by the
   randomized-benchmarking substrate, where circuits are Clifford-only and
   20-qubit dense simulation would be wasteful.
@@ -28,7 +30,6 @@ from repro.sim.trajectory import (
     ENGINE_CODES,
     BatchedTrajectorySimulator,
     NoisyOp,
-    TrajectorySimulator,
     trajectory_generators,
     trajectory_seed,
 )
@@ -48,7 +49,6 @@ __all__ = [
     "BatchedTrajectorySimulator",
     "ENGINE_CODES",
     "NoisyOp",
-    "TrajectorySimulator",
     "trajectory_generators",
     "trajectory_seed",
     "StabilizerSimulator",

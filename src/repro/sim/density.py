@@ -1,7 +1,8 @@
 """Exact density-matrix simulation of noisy instruction streams.
 
-The Monte-Carlo trajectory executor (:mod:`repro.sim.trajectory`) converges
-to the channel-exact result as trajectories grow; this module computes that
+The Monte-Carlo trajectory engine
+(:class:`~repro.sim.trajectory.BatchedTrajectorySimulator`) converges to
+the channel-exact result as trajectories grow; this module computes that
 limit directly by evolving the density matrix through the same
 :class:`~repro.sim.trajectory.NoisyOp` stream with Kraus superoperators.
 
@@ -130,7 +131,8 @@ def exact_output_distribution(ops: Sequence[NoisyOp], num_qubits: int,
                               measured_qubits: Sequence[int],
                               readout: Optional[ReadoutModel] = None
                               ) -> np.ndarray:
-    """Channel-exact analogue of ``TrajectorySimulator.output_distribution``."""
+    """Channel-exact analogue of
+    ``BatchedTrajectorySimulator.output_distribution``."""
     rho = DensityMatrix(num_qubits)
     for op in ops:
         rho.apply_noisy_op(op)

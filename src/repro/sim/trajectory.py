@@ -8,38 +8,31 @@ into a flat, time-ordered list of :class:`NoisyOp` events:
 * ``decay`` events carry amplitude-damping / phase-flip probabilities for a
   stretch of idle (or in-gate) time on one qubit.
 
-Two simulators share the event language:
+:class:`BatchedTrajectorySimulator` executes that stream: a stacked
+``(B, 2, ..., 2)`` amplitude array evolves all ``B`` trajectories of a
+batch per NumPy call, with stochastic branching decided by per-trajectory
+Bernoulli draws.  Every trajectory owns an RNG stream derived from its
+*global index*, so the accumulated distribution is bitwise identical for
+every batch size (and therefore every chunking / worker count), and the
+``engine="scalar"`` reference path reproduces the same physics one
+statevector at a time for 1e-12 parity tests.
 
-* :class:`TrajectorySimulator` — the historical engine: one shared RNG
-  stream, one sequential statevector evolution per trajectory.
-* :class:`BatchedTrajectorySimulator` — the vectorized engine: a stacked
-  ``(B, 2, ..., 2)`` amplitude array evolves all ``B`` trajectories of a
-  batch per NumPy call, with stochastic branching decided by per-trajectory
-  Bernoulli draws.  Every trajectory owns an RNG stream derived from its
-  *global index*, so the accumulated distribution is bitwise identical for
-  every batch size (and therefore every chunking / worker count), and the
-  ``engine="scalar"`` reference path reproduces the same physics one
-  statevector at a time for 1e-12 parity tests.
-
-Both average the exact output distribution of many stochastic trajectories,
-then sample shot counts — which converges much faster than per-shot
-simulation for the shot budgets the paper uses (1024+).
+The simulator averages the exact output distribution of many stochastic
+trajectories; the backend then samples shot counts from it — which
+converges much faster than per-shot simulation for the shot budgets the
+paper uses (1024+).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.registry import get_registry
-from repro.sim.channels import (
-    ReadoutModel,
-    distribution_to_counts,
-    two_qubit_depolarizing_paulis,
-)
+from repro.sim.channels import ReadoutModel, two_qubit_depolarizing_paulis
 from repro.sim.statevector import Statevector
 from repro.sim.unitaries import gate_unitary, pauli_matrix
 
@@ -88,70 +81,8 @@ class NoisyOp:
         return cls("decay", (qubit,), gamma=gamma, p_z=p_z)
 
 
-class TrajectorySimulator:
-    """Runs :class:`NoisyOp` streams via Monte-Carlo wavefunction sampling."""
-
-    def __init__(self, num_qubits: int, seed=None):
-        # ``seed`` is anything ``np.random.default_rng`` accepts — an int,
-        # a ``SeedSequence`` (how the backend seeds per-chunk simulators),
-        # or ``None`` for OS entropy.
-        self.num_qubits = num_qubits
-        self._rng = np.random.default_rng(seed)
-
-    # ------------------------------------------------------------------
-    def _run_single_trajectory(self, ops: Sequence[NoisyOp]) -> Statevector:
-        return _evolve_single(self.num_qubits, ops, self._rng)
-
-    def _apply_decay(self, state: Statevector, op: NoisyOp) -> None:
-        _apply_decay_single(state, op, self._rng)
-
-    # ------------------------------------------------------------------
-    def accumulate(self, ops: Sequence[NoisyOp],
-                   measured_qubits: Sequence[int],
-                   trajectories: int) -> np.ndarray:
-        """Unnormalized sum of ``trajectories`` output distributions.
-
-        The building block for parallel trajectory execution: the backend
-        splits the trajectory budget into fixed-size chunks, runs each
-        chunk on its own independently seeded simulator, and sums the
-        partial accumulators in chunk order — so the merged distribution is
-        bitwise identical for every worker count.
-        """
-        if trajectories <= 0:
-            raise ValueError("need at least one trajectory")
-        total = np.zeros(2 ** len(measured_qubits))
-        for _ in range(trajectories):
-            state = self._run_single_trajectory(ops)
-            total += state.probabilities(measured_qubits)
-        return total
-
-    def output_distribution(self, ops: Sequence[NoisyOp],
-                            measured_qubits: Sequence[int],
-                            trajectories: int = 64,
-                            readout: Optional[ReadoutModel] = None) -> np.ndarray:
-        """Average output distribution over ``trajectories`` random runs.
-
-        The result indexes bitstrings little-endian over ``measured_qubits``
-        (bit ``k`` of the index = outcome of ``measured_qubits[k]``).
-        """
-        probs = self.accumulate(ops, measured_qubits, trajectories) / trajectories
-        if readout is not None:
-            probs = readout.restrict(measured_qubits).apply_to_distribution(
-                probs, range(len(measured_qubits))
-            )
-        return probs
-
-    def run(self, ops: Sequence[NoisyOp], measured_qubits: Sequence[int],
-            shots: int = 1024, trajectories: int = 64,
-            readout: Optional[ReadoutModel] = None) -> Dict[str, int]:
-        """Sample ``shots`` measurement outcomes (bitstring keys, qubit 0 of
-        ``measured_qubits`` rightmost)."""
-        probs = self.output_distribution(ops, measured_qubits, trajectories, readout)
-        return distribution_to_counts(probs, shots, self._rng)
-
-
 # ----------------------------------------------------------------------
-# shared single-trajectory physics (legacy engine + scalar parity path)
+# single-trajectory physics (the scalar parity path)
 # ----------------------------------------------------------------------
 def _evolve_single(num_qubits: int, ops: Sequence[NoisyOp],
                    rng: np.random.Generator) -> Statevector:
@@ -484,7 +415,11 @@ class BatchedTrajectorySimulator:
                             readout: Optional[ReadoutModel] = None, *,
                             first_trajectory: int = 0,
                             batch_size: Optional[int] = None) -> np.ndarray:
-        """Average output distribution over ``trajectories`` random runs."""
+        """Average output distribution over ``trajectories`` random runs.
+
+        The result indexes bitstrings little-endian over ``measured_qubits``
+        (bit ``k`` of the index = outcome of ``measured_qubits[k]``).
+        """
         probs = self.accumulate(
             ops, measured_qubits, trajectories,
             first_trajectory=first_trajectory, batch_size=batch_size,
@@ -494,13 +429,3 @@ class BatchedTrajectorySimulator:
                 probs, range(len(measured_qubits))
             )
         return probs
-
-    def run(self, ops: Sequence[NoisyOp], measured_qubits: Sequence[int],
-            shots: int = 1024, trajectories: int = 64,
-            readout: Optional[ReadoutModel] = None) -> Dict[str, int]:
-        """Sample ``shots`` measurement outcomes (qubit 0 rightmost)."""
-        probs = self.output_distribution(ops, measured_qubits, trajectories,
-                                         readout)
-        return distribution_to_counts(
-            probs, shots, np.random.default_rng(self._root.entropy)
-        )

@@ -1,17 +1,14 @@
 """The solver's single owned time budget.
 
-Historically two seams could arm a solve deadline: ``OptimizingSolver``'s
-legacy ``time_limit`` and the scheduler's ``max_solve_seconds``.  Each kept
-its own ``_deadline`` float, so a nested solve (the exact search seeding
-itself with a greedy incumbent, or a portfolio racing several backends)
-could re-arm an already-running clock and silently extend the budget.
-
-:class:`Budget` owns the clock instead.  One instance is created per
-logical solve (the scheduler creates it; standalone solver use creates it
-from ``time_limit``), every layer shares that instance, and :meth:`arm`
-is first-caller-wins: arming an armed budget is a no-op, so nested layers
-can never extend it.  An unlimited budget (``seconds=None``) never arms
-and never expires.
+A nested solve (the exact search seeding itself with a greedy incumbent,
+or a portfolio racing several backends) must not re-arm an already-running
+clock and silently extend the budget, so :class:`Budget` owns the clock.
+One instance is created per logical solve (the scheduler builds it from
+``max_solve_seconds``; a standalone ``OptimizingSolver`` owns an unlimited
+one unless handed ``budget=``), every layer shares that instance, and
+:meth:`arm` is first-caller-wins: arming an armed budget is a no-op, so
+nested layers can never extend it.  An unlimited budget (``seconds=None``)
+never arms and never expires.
 
 Deadlines are ``time.monotonic``-based.  On Linux ``CLOCK_MONOTONIC`` is
 system-wide, so a pickled armed budget keeps meaning the same instant

@@ -19,10 +19,9 @@ The search strategies themselves live in :mod:`repro.smt.backends`
 :class:`~repro.smt.backends.GreedyDive`,
 :class:`~repro.smt.backends.LocalSearch`) behind the
 :class:`~repro.smt.backends.SolveRequest` contract; this class keeps the
-historical constructor, the ``solve()`` auto-switch (exact below
-``exact_decision_limit`` decisions, greedy above), and the ``smt.solve``
-observability envelope, so existing callers — including the resilience
-deadline/fallback paths — see identical behavior.
+``solve()`` auto-switch (exact below ``exact_decision_limit`` decisions,
+greedy above) and the ``smt.solve`` observability envelope, and hands every
+backend the one :class:`~repro.smt.budget.Budget` that bounds the solve.
 """
 
 from __future__ import annotations
@@ -55,18 +54,15 @@ __all__ = ["OptimizingSolver", "Solution", "PartialCost"]
 class OptimizingSolver:
     """Exact (small) / greedy (large) optimizer for a :class:`ScheduleModel`.
 
-    ``budget`` (a shared :class:`~repro.smt.budget.Budget`) is the
-    preferred way to bound solve time; the legacy ``time_limit`` float is
-    kept for compatibility and wraps itself in an owned budget.  When both
-    are given the explicit budget wins — the scheduler relies on this to
-    hand every layer one clock.  ``backend`` pins a specific
+    ``budget`` (a shared :class:`~repro.smt.budget.Budget`) bounds solve
+    time; the scheduler passes one to hand every layer one clock.  Without
+    it the solver owns an unlimited ``Budget()``.  ``backend`` pins a specific
     :class:`~repro.smt.backends.SolverBackend`, bypassing the
     decision-count auto-switch in :meth:`solve`.
     """
 
     def __init__(self, model: ScheduleModel, partial_cost: Optional[PartialCost] = None,
                  exact_decision_limit: int = 14, max_nodes: int = 200_000,
-                 time_limit: Optional[float] = None,
                  budget: Optional[Budget] = None,
                  backend: Optional[SolverBackend] = None,
                  hint=None):
@@ -74,8 +70,7 @@ class OptimizingSolver:
         self.partial_cost = partial_cost or zero_cost
         self.exact_decision_limit = exact_decision_limit
         self.max_nodes = max_nodes
-        self.time_limit = time_limit
-        self.budget = budget if budget is not None else Budget(time_limit)
+        self.budget = budget if budget is not None else Budget()
         self.backend = backend
         #: Warm-start hint (decision name -> option label), forwarded to
         #: backends that honour it (LocalSearch, portfolio warm entrants).

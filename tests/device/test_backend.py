@@ -151,6 +151,18 @@ class TestRun:
         clean = backend.run(circ, shots=512, trajectories=8, readout_error=False)
         assert clean.probabilities[1] > 0.995
 
+    def test_explicit_seed_drives_shot_sampling(self, backend):
+        circ = QuantumCircuit(20, 2).h(0)
+        circ.measure(0, 0)
+        circ.measure(1, 1)
+
+        def counts(seed):
+            return backend.run(circ, shots=2048, trajectories=8,
+                               seed=seed).counts
+
+        assert counts(1) == counts(1)
+        assert counts(1) != counts(2)
+
     def test_duration_reported(self, backend):
         circ = QuantumCircuit(20, 1).x(3)
         circ.measure(3, 0)

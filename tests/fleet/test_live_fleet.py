@@ -4,7 +4,6 @@ import pytest
 
 from repro.fleet.soak import SoakConfig, _controller
 from repro.obs.live import LivePlane, default_fleet_rules, read_snapshots
-from repro.obs.live.export import validate_exposition
 from repro.obs.registry import MetricsRegistry, push_registry
 from repro.rb.executor import RBConfig
 
@@ -84,11 +83,3 @@ class TestPerTickTelemetry:
         _off, _on, _plane, registry = live_run
         assert registry.counter("obs.live.snapshots").value == DAYS + 1
         assert registry.counter("obs.live.heartbeats").value > 0
-
-    def test_prometheus_exposition_written_and_valid(self, live_run):
-        _off, _on, plane, _registry = live_run
-        with open(plane.prometheus_path, encoding="utf-8") as handle:
-            text = handle.read()
-        assert validate_exposition(text) == []
-        assert "fleet_ticks" in text
-        assert 'fleet_staleness{item="sim00"}' in text

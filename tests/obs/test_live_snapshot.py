@@ -1,5 +1,5 @@
-"""Snapshots, alert lifecycle, Prometheus export, the tail/top CLI, and
-the live plane's lifecycle."""
+"""Snapshots, alert lifecycle, the tail/top CLI, and the live plane's
+lifecycle."""
 
 import json
 import threading
@@ -18,11 +18,6 @@ from repro.obs.live.alerts import (
     drift_lag_rule,
     queue_latency_rule,
     task_failure_rule,
-)
-from repro.obs.live.export import (
-    prometheus_exposition,
-    validate_exposition,
-    write_prometheus,
 )
 from repro.obs.live.plane import LivePlane, get_plane
 from repro.obs.live.snapshot import (
@@ -197,38 +192,6 @@ class TestAlertEngine:
         assert queue_latency_rule().series == \
             "parallel.task.queue_seconds.p95"
         assert budget_rule().op == "<="
-
-
-class TestPrometheusExport:
-    def test_exposition_renders_and_validates(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.inc("fleet.ticks", 3)
-        registry.set("fleet.staleness[dev-0]", 0)
-        registry.set("fleet.staleness[dev-1]", 2)
-        registry.observe("task.seconds", 0.01)
-        registry.observe("task.seconds", 3.0)
-        text = prometheus_exposition(registry.snapshot())
-        assert validate_exposition(text) == []
-        assert "fleet_ticks 3" in text
-        assert 'fleet_staleness{item="dev-0"} 0' in text
-        assert 'task_seconds_bucket{le="+Inf"} 2' in text
-        assert "task_seconds_count 2" in text
-        written = write_prometheus(str(tmp_path / "m.prom"),
-                                   registry.snapshot())
-        assert written == text
-
-    def test_validator_rejects_garbage(self):
-        assert validate_exposition("not a metric line at all !!\n")
-        assert validate_exposition("orphan_sample 1\n")  # no TYPE
-
-    def test_validator_rejects_non_monotonic_buckets(self):
-        text = (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 5\n'
-            'h_bucket{le="+Inf"} 3\n'
-            "h_sum 1\nh_count 3\n"
-        )
-        assert any("non-decreasing" in p for p in validate_exposition(text))
 
 
 class TestTailTopCli:

@@ -111,24 +111,6 @@ class TestParFallback:
             )
 
 
-class TestLegacyTimeLimit:
-    def test_time_limit_alone_keeps_silent_incumbent(
-        self, poughkeepsie, pk_report
-    ):
-        """Legacy ``time_limit`` has no fallback accounting: the solver's
-        incumbent is used without a recorded fallback."""
-        registry = get_registry()
-        before = registry.counter("resilience.fallbacks").snapshot()
-        scheduler = XtalkScheduler(
-            poughkeepsie.calibration(), pk_report, omega=0.5,
-            time_limit=0.0,
-        )
-        result = scheduler.schedule(busy_circuit())
-        assert result.fallback_reason is None
-        assert registry.counter("resilience.fallbacks").snapshot() == before
-        _assert_valid_schedule(result, poughkeepsie)
-
-
 class TestSolverErrorFallback:
     def test_solver_crash_degrades_to_par(
         self, poughkeepsie, pk_report, monkeypatch

@@ -21,7 +21,6 @@ from repro.device.backend import (
     MIN_TRAJECTORY_CHUNK,
     NoisyBackend,
     plan_trajectory_chunks,
-    resolve_sim_engine,
 )
 from repro.obs.registry import get_registry
 from repro.sim.trajectory import (
@@ -202,10 +201,6 @@ class TestBackendWorkerCounts:
         s = scalar.run(circuit, shots=64, trajectories=48)
         assert np.max(np.abs(b.probabilities - s.probabilities)) < 1e-12
 
-    def test_resolve_sim_engine_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
-        assert resolve_sim_engine() == "scalar"
-        monkeypatch.delenv("REPRO_SIM_ENGINE")
-        assert resolve_sim_engine() == "batched"
-        with pytest.raises(ValueError):
-            resolve_sim_engine("gpu")
+    def test_unknown_sim_engine_rejected(self, poughkeepsie):
+        with pytest.raises(ValueError, match="unknown sim engine"):
+            NoisyBackend(poughkeepsie, sim_engine="gpu")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.sim.channels import ReadoutModel, decay_probabilities
 from repro.sim.density import DensityMatrix, exact_output_distribution
 from repro.sim.statevector import Statevector
-from repro.sim.trajectory import NoisyOp, TrajectorySimulator
+from repro.sim.trajectory import BatchedTrajectorySimulator, NoisyOp
 from repro.sim.unitaries import gate_unitary
 
 
@@ -109,7 +109,7 @@ class TestTrajectoryCrossValidation:
         n = 2
         ops = self._random_stream(rng, n, 10)
         exact = exact_output_distribution(ops, n, list(range(n)))
-        sim = TrajectorySimulator(n, seed=seed + 1)
+        sim = BatchedTrajectorySimulator(n, seed=seed + 1)
         sampled = sim.output_distribution(ops, list(range(n)),
                                           trajectories=3000)
         assert np.abs(exact - sampled).max() < 0.05

@@ -118,14 +118,3 @@ class TestBudgetPickling:
         assert clone.seconds == 5.0
         assert not clone.armed
 
-
-class TestSolverBudgetIntegration:
-    def test_explicit_budget_wins_over_time_limit(self):
-        model = ScheduleModel(1)
-        solver = OptimizingSolver(model, time_limit=0.0, budget=Budget(None))
-        assert solver.budget.seconds is None  # unlimited budget won
-
-    def test_time_limit_wraps_into_budget(self):
-        model = ScheduleModel(1)
-        solver = OptimizingSolver(model, time_limit=2.5)
-        assert solver.budget.seconds == 2.5

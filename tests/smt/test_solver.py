@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.smt.budget import Budget
 from repro.smt.feasibility import difference_feasible
 from repro.smt.model import Decision, DiffConstraint, Option, ScheduleModel
 from repro.smt.solver import OptimizingSolver
@@ -190,7 +191,7 @@ class TestResourceLimits:
 
     def test_time_limit_respected(self):
         model, cost = self._many_decision_model()
-        solver = OptimizingSolver(model, cost, time_limit=1e-6)
+        solver = OptimizingSolver(model, cost, budget=Budget(1e-6))
         solution = solver.solve_exact()
         assert not solution.exact
 
