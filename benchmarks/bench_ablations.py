@@ -170,7 +170,8 @@ def test_ablation_solver_exact_vs_greedy(benchmark, poughkeepsie,
             t_exact = time.perf_counter() - t0
             t0 = time.perf_counter()
             greedy = XtalkScheduler(cal, report, omega=0.5,
-                                    exact_decision_limit=0).schedule(circuit)
+                                    exact_decision_limit=0,
+                                    strategy="monolithic").schedule(circuit)
             t_greedy = time.perf_counter() - t0
             rows.append({
                 "pair": (s, d),

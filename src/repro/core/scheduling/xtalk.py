@@ -208,6 +208,14 @@ class XtalkScheduler:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {strategy!r}"
             )
+        # Every strategy but monolithic solves exact windows of up to
+        # exact_decision_limit decisions, which need room for one.
+        if exact_decision_limit < 1 and strategy != "monolithic":
+            raise ValueError(
+                "exact_decision_limit must be >= 1 unless "
+                f"strategy='monolithic', got exact_decision_limit="
+                f"{exact_decision_limit} with strategy={strategy!r}"
+            )
         self.calibration = calibration
         self.report = report
         self.omega = omega

@@ -16,13 +16,19 @@ scratch:
   sequences on the stabilizer simulator, pulling conditional error rates
   from the device ground truth through the same overlap analysis the main
   backend uses;
-* :mod:`repro.rb.fitting` — least-squares fit of survival curves to
-  ``A * f**m + B`` and conversion to error-per-Clifford / error-per-CNOT.
+* :mod:`repro.rb.fitting` — exact bounded least-squares fit of survival
+  curves to ``A * f**m + B`` (one call per experiment) and conversion to
+  error-per-Clifford / error-per-CNOT.
 """
 
 from repro.rb.clifford import CliffordTableau, CliffordGroup, clifford_group
 from repro.rb.sequences import RBSequence, generate_rb_sequence
-from repro.rb.fitting import RBFit, fit_rb_decay, error_per_clifford_to_cnot
+from repro.rb.fitting import (
+    RBFit,
+    error_per_clifford_to_cnot,
+    fit_rb_decay,
+    fit_rb_decays,
+)
 from repro.rb.executor import RBExecutor, SRBResult
 
 __all__ = [
@@ -33,6 +39,7 @@ __all__ = [
     "generate_rb_sequence",
     "RBFit",
     "fit_rb_decay",
+    "fit_rb_decays",
     "error_per_clifford_to_cnot",
     "RBExecutor",
     "SRBResult",

@@ -50,12 +50,7 @@ class CliffordTableau:
         right (RB sequence products hit the same group elements over and
         over)."""
         if self._swaps is None:
-            n = self.num_qubits
-            self._swaps = np.triu(
-                self.mat[:, n:].astype(np.int64)
-                @ self.mat[:, :n].T.astype(np.int64),
-                1,
-            )
+            self._swaps = _swap_terms(self.mat.astype(np.int64))
         return self._swaps
 
     # ------------------------------------------------------------------
@@ -165,6 +160,48 @@ class CliffordTableau:
         return self.compose(_gate_tableau(self.num_qubits, name, tuple(qubits)))
 
 
+def _swap_terms(mat: np.ndarray) -> np.ndarray:
+    """Strict upper triangle of ``Z @ X^T`` for one or a stack of tableau
+    matrices (see :meth:`CliffordTableau._swap_matrix`)."""
+    n = mat.shape[-1] // 2
+    return np.triu(mat[..., n:] @ np.swapaxes(mat[..., :n], -1, -2), 1)
+
+
+def _compose_stacked(mat: np.ndarray, phase: np.ndarray,
+                     second_mat: np.ndarray, second_phase: np.ndarray,
+                     second_swaps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:meth:`CliffordTableau.compose` over stacks of ``B`` tableaux.
+
+    Row ``b`` of the result applies tableau ``b`` of the first stack, then
+    tableau ``b`` of the second, by the same algebra: a GF(2) matrix
+    product, and phases from the selected generator images plus two per
+    anticommutation swap.  Arrays are int64.
+    """
+    out_mat = (mat @ second_mat) % 2
+    anticommutations = ((mat @ second_swaps) * mat).sum(axis=-1)
+    out_phase = (phase + (mat @ second_phase[..., None])[..., 0]
+                 + 2 * anticommutations) % 4
+    return out_mat, out_phase
+
+
+def _inverse_stacked(mat: np.ndarray,
+                     phase: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:meth:`CliffordTableau.inverse` over a stack of tableaux (int64)."""
+    n = mat.shape[-1] // 2
+    transposed = np.swapaxes(mat, -1, -2)
+    # Conjugating by the block swap omega exchanges the x and z halves of
+    # both the rows and the columns of the transpose.
+    inv_mat = np.concatenate([
+        np.concatenate([transposed[:, n:, n:], transposed[:, n:, :n]], axis=2),
+        np.concatenate([transposed[:, :n, n:], transposed[:, :n, :n]], axis=2),
+    ], axis=1)
+    herm_phase = (inv_mat[..., :n] * inv_mat[..., n:]).sum(axis=-1) % 4
+    residual_mat, residual_phase = _compose_stacked(
+        mat, phase, inv_mat, herm_phase, _swap_terms(inv_mat))
+    return _compose_stacked(inv_mat, herm_phase, residual_mat,
+                            residual_phase, _swap_terms(residual_mat))
+
+
 def _pauli_mult(x1: np.ndarray, z1: np.ndarray, e1: int,
                 x2: np.ndarray, z2: np.ndarray, e2: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """(i^e1 X^x1 Z^z1) · (i^e2 X^x2 Z^z2) in canonical X-then-Z order."""
@@ -255,6 +292,7 @@ class CliffordGroup:
         self.elements: List[CliffordElement] = []
         self._index_of: Dict[bytes, int] = {}
         self._gate_suffixes: Dict[int, np.ndarray] = {}
+        self._stacked: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._enumerate()
 
     # ------------------------------------------------------------------
@@ -326,6 +364,56 @@ class CliffordGroup:
     def inverse_element(self, tableau: CliffordTableau) -> CliffordElement:
         """The group element implementing ``tableau``'s inverse."""
         return self.element_of(tableau.inverse())
+
+    def product_inverses(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """Index of the inverse of each row's product of elements.
+
+        Row ``b`` lists element indices applied first to last, as a chain
+        of :meth:`CliffordTableau.compose` calls would; rows may differ in
+        length.  All rows advance in lockstep, with one stacked GF(2)
+        product per position over the rows still running, then one
+        batched inverse, and each result is looked up by its tableau key.
+        The element returned for a row is the one
+        :meth:`inverse_element` returns for its product.
+        """
+        mats, phases, swaps = self._stacked_tableaux()
+        lengths = np.array([len(row) for row in rows])
+        if len(rows) == 0 or lengths.min() < 1:
+            raise ValueError("every row needs at least one element")
+        # Longest rows first, so the rows still running are a prefix.
+        order = np.argsort(-lengths, kind="stable")
+        indices = np.zeros((len(rows), lengths.max()), dtype=np.intp)
+        for position, b in enumerate(order):
+            indices[position, :lengths[b]] = rows[b]
+        mat = mats[indices[:, 0]]
+        phase = phases[indices[:, 0]]
+        for k in range(1, lengths.max()):
+            live = int((lengths > k).sum())
+            step = indices[:live, k]
+            mat[:live], phase[:live] = _compose_stacked(
+                mat[:live], phase[:live], mats[step], phases[step],
+                swaps[step])
+        inv_mat, inv_phase = _inverse_stacked(mat, phase)
+        inv_mat = inv_mat.astype(np.uint8)
+        inv_phase = inv_phase.astype(np.uint8)
+        out = np.empty(len(rows), dtype=np.intp)
+        for position, b in enumerate(order):
+            key = inv_mat[position].tobytes() + inv_phase[position].tobytes()
+            out[b] = self._index_of[key]
+        return out
+
+    def _stacked_tableaux(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every element's matrix, phases and swap terms, stacked (int64).
+
+        Built on the first batched use rather than at enumeration, so
+        callers that never batch do not pay for it.
+        """
+        if self._stacked is None:
+            mats = np.stack([el.tableau.mat for el in self.elements])
+            mats = mats.astype(np.int64)
+            phases = np.stack([el.tableau.phase for el in self.elements])
+            self._stacked = (mats, phases.astype(np.int64), _swap_terms(mats))
+        return self._stacked
 
     def gate_suffixes(self, index: int) -> np.ndarray:
         """Within-element suffix bit matrices of element ``index``.

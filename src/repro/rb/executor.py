@@ -38,11 +38,11 @@ from repro.device.topology import Edge
 from repro.obs.registry import get_registry
 from repro.parallel.seeding import stable_rng
 from repro.rb.clifford import clifford_group
-from repro.rb.fitting import RBFit, fit_rb_decay
+from repro.rb.fitting import RBFit, fit_rb_decays
 from repro.rb.sequences import (
     RBSequence,
     generate_rb_sequence,
-    shared_rb_sequence,
+    shared_rb_sequences,
 )
 from repro.sim.channels import decay_probabilities
 from repro.sim.stabilizer import StabilizerSimulator
@@ -283,14 +283,20 @@ class RBConfig:
       (``samples_per_sequence`` realizations per sequence).
 
     ``share_sequences`` (default on) draws each experiment's random
-    Cliffords from :func:`~repro.rb.sequences.shared_rb_sequence` — one
+    Cliffords from :func:`~repro.rb.sequences.shared_rb_sequences` — one
     stably generated sequence per (length, repeat index, slot, sweep)
     reused across every experiment of the pair sweep — instead of
-    regenerating from the per-experiment stream.  Survival statistics are
+    regenerating from the per-experiment stream.  An experiment requests
+    all of its keys at once, and the ones not yet memoized are generated
+    together in one lockstep tableau pass.  Survival statistics are
     unchanged (sequences are still uniform random Cliffords); only the
     generation cost is amortized.  Turn it off to reproduce the
     historical independent-sequences protocol (the perf benchmark's
     serial leg does, as the honest pre-change configuration).
+
+    Every target's mean survival curve is then fitted to ``A f**m + B``
+    by :func:`~repro.rb.fitting.fit_rb_decays`, all targets of an
+    experiment in one call.
     """
 
     lengths: Tuple[int, ...] = (2, 4, 8, 16, 28, 40)
@@ -432,15 +438,16 @@ class RBExecutor:
         rng = self._experiment_rng(targets)
         draws = [(li, si) for li in range(len(cfg.lengths))
                  for si in range(cfg.num_sequences)]
-        batch = None
-        if cfg.share_sequences and cfg.estimate == "exact":
+        shared = None
+        if cfg.share_sequences:
             # Shared sequences leave the experiment stream to shot noise
-            # alone, so every sequence set is scored in one pass up front
-            # without reordering the stream's draws.
-            batch = self._exact_survivals(targets, [
-                self._sequence_set(targets, cfg.lengths[li], si, rng)
-                for li, si in draws
-            ]).tolist()
+            # (and sampled errors) alone, so every sequence set is fetched
+            # up front in one request without reordering the stream.
+            shared = self._shared_sequence_sets(
+                targets, [(cfg.lengths[li], si) for li, si in draws])
+        batch = None
+        if shared is not None and cfg.estimate == "exact":
+            batch = self._exact_survivals(targets, shared).tolist()
         survivals: Dict[Target, List[List[float]]] = {
             t: [[] for _ in cfg.lengths] for t in targets
         }
@@ -448,11 +455,9 @@ class RBExecutor:
             if batch is not None:
                 means = dict(zip(targets, batch[d]))
             else:
-                means = self._run_sequences(
-                    targets,
-                    self._sequence_set(targets, cfg.lengths[li], si, rng),
-                    rng,
-                )
+                seqs = (shared[d] if shared is not None else
+                        self._sequence_set(targets, cfg.lengths[li], si, rng))
+                means = self._run_sequences(targets, seqs, rng)
             for t in targets:
                 value = means[t]
                 if cfg.shots is not None:
@@ -462,11 +467,9 @@ class RBExecutor:
         mean_survivals = {
             t: [float(np.mean(vals)) for vals in survivals[t]] for t in targets
         }
-        fits = {
-            t: fit_rb_decay(cfg.lengths, mean_survivals[t],
-                            num_qubits=len(t))
-            for t in targets
-        }
+        fits = dict(zip(targets, fit_rb_decays(
+            cfg.lengths, [mean_survivals[t] for t in targets],
+            [len(t) for t in targets])))
         context = {t: tuple(o for o in targets if o != t) for t in targets}
         seconds = time.perf_counter() - started
         sequences = float(len(targets) * len(cfg.lengths) * cfg.num_sequences)
@@ -496,20 +499,28 @@ class RBExecutor:
                       rng: np.random.Generator) -> Dict[Target, RBSequence]:
         """One random sequence per target for repeat ``index`` at ``length``."""
         if self.config.share_sequences:
-            # Amortized path: one stably generated sequence per (n, length,
-            # repeat, slot) reused across the sweep; the experiment stream
-            # is only consumed for shot noise.
-            seed_class = (self._fingerprint, self.day, self.base_seed)
-            slots = sorted(targets)
-            return {
-                t: shared_rb_sequence(len(t), length, index, slots.index(t),
-                                      seed_class)
-                for t in targets
-            }
+            return self._shared_sequence_sets(targets, [(length, index)])[0]
         return {
             t: generate_rb_sequence(clifford_group(len(t)), length, rng)
             for t in targets
         }
+
+    def _shared_sequence_sets(self, targets: List[Target],
+                              shapes: Sequence[Tuple[int, int]]
+                              ) -> List[Dict[Target, RBSequence]]:
+        """The shared sequence sets for ``(length, repeat index)`` shapes.
+
+        Amortized path: one stably generated sequence per (n, length,
+        repeat, slot) reused across the sweep, every key of the request
+        generated in one :func:`~repro.rb.sequences.shared_rb_sequences`
+        call; the experiment stream is not consumed.
+        """
+        seed_class = (self._fingerprint, self.day, self.base_seed)
+        slots = sorted(targets)
+        keys = [(len(t), length, index, slots.index(t), seed_class)
+                for length, index in shapes for t in targets]
+        sequences = iter(shared_rb_sequences(keys))
+        return [{t: next(sequences) for t in targets} for _ in shapes]
 
     def _run_sequences(self, edges: List[Edge],
                        seqs: Dict[Edge, RBSequence],

@@ -11,7 +11,11 @@ Clifford; the ratio of decays isolates the interleaved gate's error:
 This module layers the protocol on the existing RB machinery and executor,
 giving the characterization stack a second, sharper estimator that can be
 cross-checked against the planted ground truth (and against the standard
-estimator's upper bound).
+estimator's upper bound).  Interleaved sequences are closed by the same
+batched inverse as plain ones
+(:meth:`~repro.rb.clifford.CliffordGroup.product_inverses`), and both
+decays go through the same exact profiled fit
+(:func:`~repro.rb.fitting.fit_rb_decay`).
 
 Calibration note: the device model injects a uniform non-identity Pauli
 with probability ``p`` per CNOT.  The *average gate infidelity* of that
@@ -62,11 +66,8 @@ def _interleave_cnot(sequence: RBSequence, group) -> RBSequence:
     for el in sequence.elements:
         elements.append(el)
         elements.append(cnot)
-    product = elements[0].tableau
-    for el in elements[1:]:
-        product = product.compose(el.tableau)
-    inverse = group.inverse_element(product)
-    return RBSequence(tuple(elements), inverse)
+    (inverse,) = group.product_inverses([[el.index for el in elements]])
+    return RBSequence(tuple(elements), group.elements[inverse])
 
 
 def _cnot_tableau(group):

@@ -10,12 +10,20 @@ Two generation entry points:
 
 * :func:`generate_rb_sequence` — sample from a caller-supplied stream
   (the historical per-experiment path);
-* :func:`shared_rb_sequence` — sample from a stable stream keyed on
-  ``(num_qubits, length, seq_index, slot, seed_class)`` and memoize the
+* :func:`shared_rb_sequences` — sample each key from a stable stream keyed
+  on ``(num_qubits, length, seq_index, slot, seed_class)`` and memoize the
   result in a module-level cache, so a characterization sweep that runs
   hundreds of experiments with the same sizing generates each sequence
   *once* and reuses it everywhere (including across the fresh per-task
   executors a campaign pool creates within one worker process).
+  :func:`shared_rb_sequence` is its one-key form.
+
+Both close their sequences through
+:meth:`~repro.rb.clifford.CliffordGroup.product_inverses`, which advances
+every sequence of a request in lockstep: one stacked tableau product per
+Clifford position and one batched inverse.  A sequence's elements come
+from its own stream alone, so it is the same whichever sequences it is
+generated with.
 """
 
 from __future__ import annotations
@@ -73,15 +81,28 @@ class RBSequence:
 def generate_rb_sequence(group: CliffordGroup, length: int,
                          rng: np.random.Generator) -> RBSequence:
     """Sample a length-``m`` sequence and close it with the exact inverse."""
+    return _closed_sequences(group, [_draw(group, length, rng)])[0]
+
+
+def _draw(group: CliffordGroup, length: int,
+          rng: np.random.Generator) -> np.ndarray:
+    """The element indices of one random length-``m`` sequence."""
     if length < 1:
         raise ValueError("RB length must be at least 1")
-    indices = rng.integers(len(group), size=length)
-    elements = tuple(group.elements[int(i)] for i in indices)
-    product = elements[0].tableau
-    for el in elements[1:]:
-        product = product.compose(el.tableau)
-    inverse = group.inverse_element(product)
-    return RBSequence(elements, inverse)
+    return rng.integers(len(group), size=length)
+
+
+def _closed_sequences(group: CliffordGroup, rows: List[np.ndarray],
+                      tokens: Optional[List[Tuple]] = None
+                      ) -> List[RBSequence]:
+    """One sequence per row of element indices, each closed by its inverse."""
+    inverses = group.product_inverses(rows)
+    tokens = tokens if tokens is not None else [None] * len(rows)
+    return [
+        RBSequence(tuple(group.elements[int(i)] for i in row),
+                   group.elements[int(inverse)], cache_token=token)
+        for row, inverse, token in zip(rows, inverses, tokens)
+    ]
 
 
 #: Memoized shared sequences; bounded so pathological sweeps (many seed
@@ -103,14 +124,31 @@ def shared_rb_sequence(num_qubits: int, length: int, seq_index: int,
     what lets a pair sweep over hundreds of edges amortize generation:
     the targets themselves are deliberately absent from the key.
     """
-    key = (num_qubits, length, seq_index, slot, seed_class)
-    seq = _SHARED_SEQUENCES.get(key)
-    if seq is None:
-        rng = stable_rng("rb.sequence", num_qubits, length, seq_index, slot,
-                         list(seed_class))
-        seq = generate_rb_sequence(clifford_group(num_qubits), length, rng)
-        seq = RBSequence(seq.elements, seq.inverse, cache_token=key)
-        if len(_SHARED_SEQUENCES) >= _SHARED_SEQUENCES_LIMIT:
-            _SHARED_SEQUENCES.clear()
-        _SHARED_SEQUENCES[key] = seq
-    return seq
+    return shared_rb_sequences(
+        [(num_qubits, length, seq_index, slot, seed_class)])[0]
+
+
+def shared_rb_sequences(keys: Sequence[Tuple]) -> List[RBSequence]:
+    """:func:`shared_rb_sequence` for many ``(num_qubits, length,
+    seq_index, slot, seed_class)`` keys at once.
+
+    Keys not yet memoized are generated together, one lockstep pass per
+    qubit count.  Each key still draws from its own stable stream, so
+    every sequence is exactly what a one-key call returns.
+    """
+    found = {key: _SHARED_SEQUENCES.get(key) for key in keys}
+    missing = [key for key, seq in found.items() if seq is None]
+    for num_qubits in sorted({key[0] for key in missing}):
+        group = clifford_group(num_qubits)
+        todo = [key for key in missing if key[0] == num_qubits]
+        rows = [
+            _draw(group, key[1], stable_rng("rb.sequence", *key[:4],
+                                            list(key[4])))
+            for key in todo
+        ]
+        for key, seq in zip(todo, _closed_sequences(group, rows, todo)):
+            if len(_SHARED_SEQUENCES) >= _SHARED_SEQUENCES_LIMIT:
+                _SHARED_SEQUENCES.clear()
+            _SHARED_SEQUENCES[key] = seq
+            found[key] = seq
+    return [found[key] for key in keys]

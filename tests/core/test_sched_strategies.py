@@ -51,6 +51,23 @@ class TestStrategyKnob:
             XtalkScheduler(
                 poughkeepsie.calibration(), pk_report, strategy="psychic")
 
+    @pytest.mark.parametrize("strategy",
+                             [s for s in STRATEGIES if s != "monolithic"])
+    def test_zero_exact_limit_rejected_at_construction(
+            self, poughkeepsie, pk_report, strategy):
+        with pytest.raises(ValueError,
+                           match="exact_decision_limit.*strategy"):
+            XtalkScheduler(poughkeepsie.calibration(), pk_report,
+                           exact_decision_limit=0, strategy=strategy)
+
+    def test_zero_exact_limit_is_a_monolithic_greedy_dive(
+            self, poughkeepsie, pk_report):
+        result = schedule_with(poughkeepsie, pk_report,
+                               exact_decision_limit=0, strategy="monolithic")
+        assert result.strategy == "monolithic"
+        assert not result.solution.exact
+        assert len(result.option_labels) == len(result.candidate_pairs)
+
     def test_auto_stays_monolithic_within_limit(self, poughkeepsie, pk_report):
         result = schedule_with(poughkeepsie, pk_report, strategy="auto")
         assert result.strategy == "monolithic"
