@@ -26,22 +26,36 @@ deterministic — same request, same answer, on any worker.
 
 The windowed-decomposition backend lives in :mod:`repro.smt.windows`
 (it layers on top of the primitives here).
+
+Every backend bounds and scores its nodes with :func:`lp_minimize`, which
+solves the node's LP (a linear objective over difference constraints)
+exactly in pure Python through its dual, a transportation problem over
+longest paths.  Among optimal start times it returns the component-wise
+earliest, so the times are a pure function of the constraint set.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.smt.budget import Budget
-from repro.smt.feasibility import difference_feasible
+from repro.smt.feasibility import RELAX_TOL, difference_feasible
 from repro.smt.model import Decision, DiffConstraint, ScheduleModel
 
 PartialCost = Callable[[Tuple[int, ...]], float]
+
+#: Objective coefficients, supplies and flows at or below this share of
+#: the total objective weight count as zero (sums of the scheduler's
+#: lifetime coefficients cancel only up to rounding).
+FLOW_TOL = 1e-12
+
+#: Cap on transportation augmentations, per source and sink.
+_MAX_AUGMENTATIONS = 16
 
 
 def zero_cost(assignment: Tuple[int, ...]) -> float:
@@ -116,51 +130,146 @@ class SolveResult:
 # ----------------------------------------------------------------------
 # shared primitives
 # ----------------------------------------------------------------------
+def _canonical(con: DiffConstraint) -> Tuple[int, int, float]:
+    return (con.var_hi, -1 if con.var_lo is None else con.var_lo, con.offset)
+
+
 def lp_minimize(model: ScheduleModel,
                 constraints: Sequence[DiffConstraint]
                 ) -> Optional[Tuple[float, np.ndarray]]:
     """Minimize the model's linear objective subject to ``constraints``.
 
-    Returns ``(value, x)`` or None when infeasible.  With an all-zero
-    objective the ASAP solution from the feasibility check is used
-    directly (no LP call).
+    Returns ``(value, x)``, or None when the constraints are infeasible or
+    the objective is unbounded below.  ``x`` is the component-wise
+    earliest optimal point, which is unique; with an all-zero objective
+    that is the ASAP solution from the feasibility check.
+
+    The LP's dual is an uncapacitated min-cost flow on the constraint
+    graph (supply ``-c_v`` at each variable), so it reduces to a
+    transportation problem from the negative-coefficient variables
+    (sources) to the positive ones (sinks), weighted by longest paths.
+    Constraints are relaxed in a canonical order, so any ordering of the
+    same constraints gives bitwise-equal times.
     """
-    asap = difference_feasible(model.num_vars, constraints)
+    n = model.num_vars
+    constraints = sorted(constraints, key=_canonical)
+    asap = difference_feasible(n, constraints)
     if asap is None:
         return None
-    objective = model.objective
-    if not any(abs(c) > 0.0 for c in objective.values()):
+    tol = FLOW_TOL * sum(abs(c) for c in model.objective.values())
+    coeffs = [(v, c) for v, c in sorted(model.objective.items()) if abs(c) > tol]
+    if not coeffs:
         return model.objective_offset, np.asarray(asap)
 
-    n = model.num_vars
-    c = np.zeros(n)
-    for var, coeff in objective.items():
-        c[var] = coeff
-    rows = []
-    rhs = []
-    bounds_lo = np.zeros(n)
-    for con in constraints:
-        if con.var_lo is None:
-            bounds_lo[con.var_hi] = max(bounds_lo[con.var_hi], con.offset)
-            continue
-        # x_hi - x_lo >= off  ->  -x_hi + x_lo <= -off
-        row = np.zeros(n)
-        row[con.var_hi] = -1.0
-        row[con.var_lo] = 1.0
-        rows.append(row)
-        rhs.append(-con.offset)
-    a_ub = np.vstack(rows) if rows else None
-    b_ub = np.asarray(rhs) if rows else None
-    result = optimize.linprog(
-        c, A_ub=a_ub, b_ub=b_ub,
-        bounds=list(zip(bounds_lo, [None] * n)),
-        method="highs",
-    )
-    if not result.success:
-        # Infeasibility should have been caught by Bellman-Ford; treat
-        # any other failure as infeasible to stay conservative.
-        return None
-    return float(result.fun) + model.objective_offset, result.x
+    sources = [v for v, c in coeffs if c < 0.0]
+    sinks = [v for v, c in coeffs if c > 0.0]
+    supply = [-c for _, c in coeffs if c < 0.0]
+    demand = [c for _, c in coeffs if c > 0.0]
+    surplus = sum(demand) - sum(supply)
+    if surplus < -tol:
+        return None  # shifting every start later lowers the objective
+    # weights[i][j]: the longest path from source i to sink j, which is
+    # what a unit of flow from i to j earns in the dual.
+    weights: List[List[float]] = [[] for _ in sources]
+    for t in sinks:
+        initial = [-math.inf] * n
+        initial[t] = 0.0
+        to_t = difference_feasible(n, constraints, initial, reverse=True)
+        for row, s in zip(weights, sources):
+            row.append(to_t[s])
+    if surplus > tol:
+        # The origin (time 0) supplies the rest; its paths are the ASAP
+        # times, since every variable has an arc from it.
+        supply.append(surplus)
+        weights.append([asap[t] for t in sinks])
+    flow = _transport(supply, demand, weights)
+    if flow is None:
+        return None  # some source reaches too little sink demand
+    value = sum(y * weights[i][j] for (i, j), y in flow.items())
+    # The optimal face pins x_t - x_s = weights[s][t] wherever flow runs;
+    # its least point is the longest-path solution with those arcs added.
+    tight = [(sinks[j], sources[i], -weights[i][j])
+             for i, j in flow if i < len(sources)]
+    x = difference_feasible(n, constraints, extra=tight)
+    if x is None:  # pragma: no cover - optimal flows leave no positive cycle
+        raise RuntimeError("optimal face of the LP is empty")
+    return value + model.objective_offset, np.asarray(x)
+
+
+def _transport(supply: Sequence[float], demand: Sequence[float],
+               weights: Sequence[Sequence[float]]
+               ) -> Optional[Dict[Tuple[int, int], float]]:
+    """Max-weight transportation: ship every ``supply[i]`` to meet every
+    ``demand[j]``, earning ``weights[i][j]`` per unit (``-inf``: no route).
+
+    Returns the positive flows ``{(i, j): amount}``, or None when the
+    demand cannot be met.  One sink takes everything; otherwise successive
+    shortest paths augment along the cheapest route (costs are negated
+    weights) of the residual graph until every demand is met.
+    """
+    if len(demand) == 1:
+        if any(row[0] == -math.inf for row in weights):
+            return None
+        return {(i, 0): amount for i, amount in enumerate(supply)}
+    tol = FLOW_TOL * sum(demand)
+    left = list(supply)
+    need = list(demand)
+    flow: Dict[Tuple[int, int], float] = {}
+    rows, cols = range(len(supply)), range(len(demand))
+    for _ in range(_MAX_AUGMENTATIONS * (len(supply) + len(demand))):
+        if all(amount <= tol for amount in need):
+            return flow
+        # Bellman-Ford from every source with supply left: forward arcs
+        # i -> j cost -w, backward arcs j -> i (where flow runs) cost +w.
+        at_source = [0.0 if amount > tol else math.inf for amount in left]
+        at_sink = [math.inf] * len(demand)
+        via_source: List[int] = [-1] * len(demand)
+        via_sink: List[int] = [-1] * len(supply)
+        for _ in range(len(supply) + len(demand)):
+            changed = False
+            for i in rows:
+                base = at_source[i]
+                if base == math.inf:
+                    continue
+                row = weights[i]
+                for j in cols:
+                    cost = base - row[j]
+                    if cost < at_sink[j] - RELAX_TOL:
+                        at_sink[j] = cost
+                        via_source[j] = i
+                        changed = True
+            for i, j in flow:
+                cost = at_sink[j] + weights[i][j]
+                if cost < at_source[i] - RELAX_TOL:
+                    at_source[i] = cost
+                    via_sink[i] = j
+                    changed = True
+            if not changed:
+                break
+        open_sinks = [j for j, amount in enumerate(need) if amount > tol]
+        sink = min(open_sinks, key=lambda j: at_sink[j])
+        if at_sink[sink] == math.inf:
+            return None
+        # Walk the path back to its source, noting the bottleneck.
+        forward, backward = [], []
+        j = sink
+        while True:
+            i = via_source[j]
+            forward.append((i, j))
+            if via_sink[i] < 0:
+                break
+            j = via_sink[i]
+            backward.append((i, j))
+        amount = min([left[i], need[sink]] + [flow[arc] for arc in backward])
+        left[i] -= amount
+        need[sink] -= amount
+        for arc in forward:
+            flow[arc] = flow.get(arc, 0.0) + amount
+        for arc in backward:
+            flow[arc] -= amount
+            if flow[arc] <= tol:
+                del flow[arc]
+    raise RuntimeError("transportation solve did not converge")
 
 
 def first_feasible(model: ScheduleModel, assignment: Sequence[int],

@@ -27,9 +27,7 @@ backend the one :class:`~repro.smt.budget.Budget` that bounds the solve.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.obs.events import log_event
 from repro.obs.live.heartbeat import heartbeat
@@ -42,11 +40,10 @@ from repro.smt.backends import (
     Solution,
     SolveRequest,
     SolverBackend,
-    lp_minimize,
     zero_cost,
 )
 from repro.smt.budget import Budget
-from repro.smt.model import DiffConstraint, ScheduleModel
+from repro.smt.model import ScheduleModel
 
 __all__ = ["OptimizingSolver", "Solution", "PartialCost"]
 
@@ -88,14 +85,6 @@ class OptimizingSolver:
             incumbent=incumbent,
             hint=self.hint,
         )
-
-    # ------------------------------------------------------------------
-    # LP over difference constraints (kept as a method: tests and the
-    # brute-force reference call it directly)
-    # ------------------------------------------------------------------
-    def _lp_minimize(self, constraints: Sequence[DiffConstraint]
-                     ) -> Optional[Tuple[float, np.ndarray]]:
-        return lp_minimize(self.model, constraints)
 
     # ------------------------------------------------------------------
     def solve(self) -> Solution:

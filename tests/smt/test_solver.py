@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.smt.backends import lp_minimize
 from repro.smt.budget import Budget
 from repro.smt.feasibility import difference_feasible
 from repro.smt.model import Decision, DiffConstraint, Option, ScheduleModel
@@ -14,12 +15,11 @@ from repro.smt.solver import OptimizingSolver
 
 
 def brute_force(model: ScheduleModel, partial_cost) -> float:
-    """Exhaustive reference optimum (LP via the solver's own LP helper)."""
-    solver = OptimizingSolver(model, partial_cost)
+    """Exhaustive reference optimum (LP via the backends' ``lp_minimize``)."""
     best = float("inf")
     option_counts = [len(d.options) for d in model.decisions]
     for assignment in itertools.product(*(range(c) for c in option_counts)):
-        lp = solver._lp_minimize(model.constraints_for(list(assignment)))
+        lp = lp_minimize(model, model.constraints_for(list(assignment)))
         if lp is None:
             continue
         best = min(best, partial_cost(tuple(assignment)) + lp[0])
@@ -30,8 +30,7 @@ class TestLpMinimize:
     def test_zero_objective_uses_asap(self):
         model = ScheduleModel(2)
         model.add_constraint(DiffConstraint(1, 0, 10.0))
-        solver = OptimizingSolver(model)
-        value, x = solver._lp_minimize(model.base_constraints)
+        value, x = lp_minimize(model, model.base_constraints)
         assert value == 0.0
         assert x[1] - x[0] >= 10.0
 
@@ -39,23 +38,20 @@ class TestLpMinimize:
         model = ScheduleModel(2)
         model.add_constraint(DiffConstraint(1, 0, 10.0))
         model.add_objective_term(1, 1.0)  # minimize x1
-        solver = OptimizingSolver(model)
-        value, x = solver._lp_minimize(model.base_constraints)
+        value, x = lp_minimize(model, model.base_constraints)
         assert value == pytest.approx(10.0)
 
     def test_objective_offset_included(self):
         model = ScheduleModel(1)
         model.objective_offset = 5.0
         model.add_objective_term(0, 1.0)
-        solver = OptimizingSolver(model)
-        value, _ = solver._lp_minimize([])
+        value, _ = lp_minimize(model, [])
         assert value == pytest.approx(5.0)
 
     def test_infeasible_returns_none(self):
         model = ScheduleModel(2)
         constraints = [DiffConstraint(1, 0, 5.0), DiffConstraint(0, 1, 5.0)]
-        solver = OptimizingSolver(model)
-        assert solver._lp_minimize(constraints) is None
+        assert lp_minimize(model, constraints) is None
 
     def test_negative_coefficient_bounded_by_structure(self):
         # minimize x1 - x0 subject to x1 >= x0 + 10: optimum 10, not -inf.
@@ -63,8 +59,7 @@ class TestLpMinimize:
         model.add_constraint(DiffConstraint(1, 0, 10.0))
         model.add_objective_term(1, 1.0)
         model.add_objective_term(0, -1.0)
-        solver = OptimizingSolver(model)
-        value, _ = solver._lp_minimize(model.base_constraints)
+        value, _ = lp_minimize(model, model.base_constraints)
         assert value == pytest.approx(10.0)
 
 
