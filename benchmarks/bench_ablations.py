@@ -42,7 +42,7 @@ def test_ablation_scheduling_policies(benchmark, poughkeepsie, record_table, rec
     """XtalkSched vs the blanket hardware-disable policy."""
     report = ground_truth_report(poughkeepsie)
     backend = NoisyBackend(poughkeepsie)
-    config = ExperimentConfig(trajectories=150, seed=21)
+    config = ExperimentConfig(seed=21)
     endpoints = crosstalk_affected_endpoints(
         poughkeepsie.coupling, report.high_pairs()
     )[:5]
@@ -216,7 +216,7 @@ def test_ablation_pulse_vs_barrier_isa(benchmark, poughkeepsie, record_table, re
     report = ground_truth_report(poughkeepsie)
     backend = NoisyBackend(poughkeepsie)
     cal = poughkeepsie.calibration()
-    config = ExperimentConfig(trajectories=150, seed=29)
+    config = ExperimentConfig(seed=29)
     endpoints = crosstalk_affected_endpoints(
         poughkeepsie.coupling, report.high_pairs()
     )[:4]
@@ -276,7 +276,7 @@ def test_ablation_route_around_vs_schedule_around(benchmark, poughkeepsie,
 
     report = ground_truth_report(poughkeepsie)
     backend = NoisyBackend(poughkeepsie)
-    config = ExperimentConfig(trajectories=150, seed=27)
+    config = ExperimentConfig(seed=27)
     highs = report.high_pairs()
 
     # endpoint pairs with both a crossing route and a clean alternative

@@ -11,7 +11,7 @@ from repro.experiments.common import ExperimentConfig
 
 
 def test_fig1_tradeoff(benchmark, record_table, record_trace):
-    config = ExperimentConfig(trajectories=300, seed=3)
+    config = ExperimentConfig(seed=3)
 
     def run():
         return fig1.run_fig1(config=config)

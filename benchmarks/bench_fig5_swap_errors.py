@@ -16,7 +16,7 @@ FULL = os.environ.get("REPRO_FULL", "0") == "1"
 
 
 def test_fig5_swap_errors_and_durations(benchmark, devices, record_table, record_trace):
-    config = ExperimentConfig(trajectories=120, seed=7)
+    config = ExperimentConfig(seed=7)
     max_pairs = None if FULL else 6
 
     def run():

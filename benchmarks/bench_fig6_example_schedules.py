@@ -12,7 +12,7 @@ from repro.experiments.common import ExperimentConfig
 
 
 def test_fig6_case_study(benchmark, poughkeepsie, record_table, record_trace):
-    config = ExperimentConfig(trajectories=250, seed=9)
+    config = ExperimentConfig(seed=9)
 
     def run():
         return fig6.run_fig6(device=poughkeepsie, config=config)

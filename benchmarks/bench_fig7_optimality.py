@@ -15,7 +15,7 @@ FULL = os.environ.get("REPRO_FULL", "0") == "1"
 
 
 def test_fig7_near_optimality(benchmark, poughkeepsie, record_table, record_trace):
-    config = ExperimentConfig(trajectories=120, seed=11)
+    config = ExperimentConfig(seed=11)
     max_pairs = None if FULL else 6
 
     def run():

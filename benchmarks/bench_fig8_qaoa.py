@@ -11,7 +11,7 @@ from repro.experiments.common import ExperimentConfig
 
 
 def test_fig8_qaoa_cross_entropy(benchmark, poughkeepsie, record_table, record_trace):
-    config = ExperimentConfig(trajectories=150, seed=13)
+    config = ExperimentConfig(seed=13)
 
     def run():
         return fig8.run_fig8(device=poughkeepsie, config=config)

@@ -11,7 +11,7 @@ from repro.experiments.common import ExperimentConfig
 
 def test_fig9_hidden_shift_omega_sensitivity(benchmark, poughkeepsie,
                                              record_table, record_trace):
-    config = ExperimentConfig(trajectories=150, seed=15)
+    config = ExperimentConfig(seed=15)
 
     def run():
         return fig9.run_fig9(device=poughkeepsie, config=config)

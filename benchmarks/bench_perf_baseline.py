@@ -9,23 +9,27 @@ one entry per workload::
         "campaign_one_hop_packed": {"serial_seconds": ..., "parallel_seconds":
             ..., "workers": 4, "speedup": ...}, ...}}}
 
-Every workload's *serial* leg is the pre-optimization configuration and
-its *parallel* leg the shipped configuration, so the speedup reports what
-the perf work delivers end-to-end:
+Workloads:
 
 * campaign — scalar exact estimator with per-experiment sequence
   regeneration (``estimate="exact-scalar"``, ``share_sequences=False``)
   @ 1 worker, vs the vectorized estimator with sweep-shared sequences
-  @ N workers;
-* trajectory_backend / tomography — the ``engine="scalar"`` trajectory
-  simulator @ 1 worker, vs the batched engine @ N workers;
+  @ N workers, so its speedup reports what the perf work delivers;
+* exact_backend / exact_tomography — the exact density-matrix executor
+  behind :class:`~repro.device.backend.NoisyBackend` @ 1 worker vs N
+  workers: repeated runs of one scheduled SWAP circuit, and repeated
+  9-setting tomography of another.  Both legs ship the same code, so the
+  speedup reads ~1 (the backend no longer fans out; tomography's pool
+  falls back to serial for work this small) and the history gate
+  watches their seconds;
 * live_overhead — the shipped campaign with the live telemetry plane
   off (``serial_seconds``) vs on (``parallel_seconds``), so the
   ``--check`` budget doubles as the live-plane overhead gate.
 
 Determinism spot-checks always compare the *shipped* configuration at 1
-worker against N workers (bitwise), never serial-leg vs parallel-leg —
-those are different configurations and agree only statistically.  On
+worker against N workers (bitwise).  The campaign's serial leg is a
+different configuration that agrees only statistically, so its check
+reruns the shipped one at 1 worker.  On
 single-core containers the pool contributes nothing (there is nothing to
 fan out over), and vectorization + amortization carry the speedup;
 ``cpu_count`` is recorded so readers can tell which regime produced the
@@ -53,11 +57,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -101,6 +109,32 @@ def _timed(fn):
     return value, time.perf_counter() - started
 
 
+def _interleaved(unit, workers: int, units: int):
+    """``unit(1)`` and ``unit(workers)``, ``units`` times each, interleaved:
+    ``(serial values, serial s, pooled values, pooled s)``.
+
+    Each leg's seconds are ``units`` times its median unit.  Legs of a few
+    hundredths of a second swing by more than the ``--check`` budget on a
+    busy host: interleaving (which leg goes first alternates) cancels the
+    host's drift, the median drops one-off stalls, and the collector stays
+    off so neither leg pays for the other's garbage.
+    """
+    values = {1: [], workers: []}
+    times = {1: [], workers: []}
+    gc.collect()
+    gc.disable()
+    try:
+        for index in range(units):
+            for count in (1, workers) if index % 2 == 0 else (workers, 1):
+                value, seconds = _timed(lambda: unit(count))
+                values[count].append(value)
+                times[count].append(seconds)
+    finally:
+        gc.enable()
+    return (values[1], units * statistics.median(times[1]),
+            values[workers], units * statistics.median(times[workers]))
+
+
 def bench_campaign(workers: int, fast: bool) -> dict:
     """ONE_HOP_PACKED campaign: scalar serial vs vectorized parallel."""
     device = ibmq_poughkeepsie()
@@ -138,63 +172,59 @@ def bench_campaign(workers: int, fast: bool) -> dict:
     }
 
 
-def bench_trajectories(workers: int, fast: bool) -> dict:
-    """Trajectory simulation of a scheduled SWAP circuit."""
+def bench_exact_backend(workers: int, fast: bool) -> dict:
+    """Exact execution of a scheduled SWAP circuit, one run per unit."""
     device = ibmq_poughkeepsie()
     report = ground_truth_report(device)
     bench = swap_benchmark(device.coupling, 0, 8)
     prepared = prepare_circuit("ParSched", bench.circuit, device, report)
-    backend = NoisyBackend(device, day=0, seed=11)
-    scalar_backend = NoisyBackend(device, day=0, seed=11,
-                                  sim_engine="scalar")
-    trajectories = 96 if fast else 480
+    backends = {count: NoisyBackend(device, day=0, seed=11, workers=count)
+                for count in (1, workers)}
+    units = 40 if fast else 200
 
-    _, serial_seconds = _timed(lambda: scalar_backend.run(
-        prepared, shots=1024, trajectories=trajectories, workers=1))
-    pooled, parallel_seconds = _timed(lambda: backend.run(
-        prepared, shots=1024, trajectories=trajectories, workers=workers))
-    # Determinism spot-check on the shipped configuration only.
-    single = backend.run(prepared, shots=1024, trajectories=trajectories,
-                         workers=1)
+    single, serial_seconds, pooled, parallel_seconds = _interleaved(
+        lambda count: backends[count].run(prepared, shots=1024),
+        workers, units)
     return {
         "serial_seconds": serial_seconds,
         "parallel_seconds": parallel_seconds,
         "workers": workers,
         "speedup": serial_seconds / parallel_seconds,
-        "trajectories": trajectories,
-        "deterministic_across_worker_counts": bool(
-            (single.probabilities == pooled.probabilities).all()
+        "runs": units,
+        "deterministic_across_worker_counts": all(
+            np.array_equal(a.probabilities, b.probabilities)
+            and a.counts == b.counts for a, b in zip(single, pooled)
         ),
-        "notes": "serial = scalar trajectory engine @ 1 worker (pre-change); "
-                 "parallel = batched engine @ N workers (shipped)",
+        "notes": "exact density-matrix backend, serial = 1 worker, "
+                 "parallel = N workers (same code); units interleaved, "
+                 "leg = units x median unit",
     }
 
 
-def bench_tomography(workers: int, fast: bool) -> dict:
-    """Two-qubit state tomography: 9 basis settings."""
+def bench_exact_tomography(workers: int, fast: bool) -> dict:
+    """Two-qubit state tomography (9 basis settings), one per unit."""
     device = ibmq_poughkeepsie()
     report = ground_truth_report(device)
     bench = swap_benchmark(device.coupling, 0, 8)
     prepared = prepare_circuit("XtalkSched", bench.circuit, device, report)
     backend = NoisyBackend(device, day=0)
-    scalar_backend = NoisyBackend(device, day=0, sim_engine="scalar")
-    config = ExperimentConfig(shots=1024, trajectories=32 if fast else 160)
+    config = ExperimentConfig(shots=1024)
+    units = 5 if fast else 25
 
-    _, serial_seconds = _timed(lambda: tomography_error(
-        scalar_backend, prepared, bench.meeting_pair, config, workers=1))
-    pooled, parallel_seconds = _timed(lambda: tomography_error(
-        backend, prepared, bench.meeting_pair, config, workers=workers))
-    # Determinism spot-check on the shipped configuration only.
-    single = tomography_error(backend, prepared, bench.meeting_pair, config,
-                              workers=1)
+    single, serial_seconds, pooled, parallel_seconds = _interleaved(
+        lambda count: tomography_error(backend, prepared, bench.meeting_pair,
+                                       config, workers=count),
+        workers, units)
     return {
         "serial_seconds": serial_seconds,
         "parallel_seconds": parallel_seconds,
         "workers": workers,
         "speedup": serial_seconds / parallel_seconds,
+        "tomographies": units,
         "deterministic_across_worker_counts": single == pooled,
-        "notes": "serial = scalar trajectory engine @ 1 worker (pre-change); "
-                 "parallel = batched engine @ N workers (shipped)",
+        "notes": "exact density-matrix backend, serial = 1 worker, "
+                 "parallel = N workers (same code); units interleaved, "
+                 "leg = units x median unit",
     }
 
 
@@ -243,8 +273,8 @@ def bench_live_overhead(workers: int, fast: bool) -> dict:
 
 WORKLOADS = {
     "campaign_one_hop_packed": bench_campaign,
-    "trajectory_backend": bench_trajectories,
-    "tomography": bench_tomography,
+    "exact_backend": bench_exact_backend,
+    "exact_tomography": bench_exact_tomography,
     "live_overhead": bench_live_overhead,
 }
 

@@ -13,7 +13,7 @@ from repro.experiments.common import ExperimentConfig
 
 
 def test_sensitivity_to_crosstalk_strength(benchmark, record_table, record_trace):
-    config = ExperimentConfig(trajectories=150, seed=23)
+    config = ExperimentConfig(seed=23)
 
     def run():
         return sensitivity.run_sensitivity(config=config)

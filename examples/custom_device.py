@@ -8,9 +8,8 @@ communication circuit crossing the noisy region.
 
 Run:  python examples/custom_device.py      (~30 seconds)
 
-``main(fast=True)`` trims the RB sizing and trajectory budget for a
-seconds-long smoke run (still enough statistics to find the planted
-pair).
+``main(fast=True)`` trims the RB sizing for a seconds-long smoke run
+(still enough statistics to find the planted pair).
 """
 
 from repro import (
@@ -63,7 +62,7 @@ def main(fast: bool = False):
     # A SWAP circuit whose two chains straddle the noisy region.
     bench = swap_benchmark(device.coupling, 2, 9)
     backend = NoisyBackend(device)
-    config = ExperimentConfig(trajectories=50 if fast else 200, seed=6)
+    config = ExperimentConfig(seed=6)
     print(f"SWAP benchmark 2 -> 9 (path {bench.plan.path}):")
     print(f"{'scheduler':14s} {'error rate':>10s} {'duration (ns)':>14s}")
     for scheduler in ("SerialSched", "ParSched", "XtalkSched"):

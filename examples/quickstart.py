@@ -11,9 +11,8 @@ Reproduces the paper's Figure 6 case study end to end:
 
 Run:  python examples/quickstart.py          (~1 minute)
 
-``main(fast=True)`` shrinks the RB sizing and trajectory budget so the
-example smoke-tests in seconds (the numbers get noisier; the story is the
-same).
+``main(fast=True)`` shrinks the RB sizing so the example smoke-tests in
+seconds (the numbers get noisier; the story is the same).
 """
 
 from repro import (
@@ -52,7 +51,7 @@ def main(fast: bool = False):
           f"{bench.meeting_pair}, {bench.circuit.two_qubit_gate_count()} CNOTs\n")
 
     backend = NoisyBackend(device)
-    config = ExperimentConfig(trajectories=50 if fast else 200, seed=7)
+    config = ExperimentConfig(seed=7)
     print(f"{'scheduler':14s} {'error rate':>10s} {'duration (ns)':>14s}")
     for scheduler in ("SerialSched", "ParSched", "XtalkSched"):
         error, duration = swap_error_rate(

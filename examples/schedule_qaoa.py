@@ -8,8 +8,7 @@ ideal.
 
 Run:  python examples/schedule_qaoa.py      (~30 seconds)
 
-``main(fast=True)`` sweeps three ω values with a reduced trajectory
-budget for a seconds-long smoke run.
+``main(fast=True)`` sweeps three ω values for a seconds-long smoke run.
 """
 
 from repro import NoisyBackend, XtalkScheduler, ibmq_poughkeepsie
@@ -35,7 +34,7 @@ def main(fast: bool = False):
     # this example fast.
     report = ground_truth_report(device)
     backend = NoisyBackend(device)
-    config = ExperimentConfig(trajectories=60 if fast else 150, seed=13)
+    config = ExperimentConfig(seed=13)
 
     circuit = qaoa_on_region(device.coupling, REGION, seed=11)
     ideal = ideal_distribution(circuit)

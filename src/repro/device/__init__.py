@@ -12,7 +12,7 @@ software substitute (see DESIGN.md §2):
   characterization module measures;
 * :mod:`repro.device.presets` — Poughkeepsie, Johannesburg, Boeblingen;
 * :mod:`repro.device.backend` — the noisy executor that turns a hardware
-  schedule into a :class:`~repro.sim.trajectory.NoisyOp` stream, assigning
+  schedule into a :class:`~repro.sim.density.NoisyOp` stream, assigning
   each CNOT its conditional error from the *actual* overlaps in the
   schedule.
 """

@@ -21,9 +21,8 @@ experiments, which run through :meth:`NoisyBackend.schedule_of` +
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,74 +31,20 @@ from repro.device.device import Device
 from repro.device.topology import normalize_edge
 from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
-from repro.parallel import ParallelEngine, SharedPayload, stable_seed_sequence
-from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import RetryPolicy
 from repro.sim.channels import (
     ReadoutModel,
     decay_probabilities,
     distribution_to_counts,
 )
-from repro.sim.trajectory import (
-    ENGINE_CODES,
-    BatchedTrajectorySimulator,
-    NoisyOp,
-)
+from repro.sim.density import NoisyOp, exact_output_distribution
 from repro.transpiler.schedule import Schedule
 from repro.transpiler.scheduling import hardware_schedule
 
-#: Smallest and largest trajectory-chunk sizes the planner will emit.
-MIN_TRAJECTORY_CHUNK = 16
-MAX_TRAJECTORY_CHUNK = 256
-
-#: Amplitude budget per batched chunk: a chunk of ``B`` trajectories on
-#: ``n`` qubits evolves a ``B * 2**n`` complex array, so the planner sizes
-#: ``B`` to keep that array near ~32 MiB (2**21 amplitudes).
-_CHUNK_AMPLITUDE_BUDGET = 1 << 21
-
-
-def plan_trajectory_chunks(trajectories: int,
-                           num_qubits: int) -> List[Tuple[int, int]]:
-    """Deterministic chunk plan: ``[(first_trajectory, count), ...]``.
-
-    Keyed only on ``(trajectories, num_qubits)`` — never the worker count —
-    so chunk boundaries, each chunk's per-trajectory seed window, and the
-    order-preserving merge are identical whether the chunks run serially
-    or across any pool, keeping the output distribution bitwise
-    reproducible for every worker count.  The chunk size scales down with
-    qubit count to bound the batched engine's ``B * 2**n`` working set,
-    and a budget that fits one chunk yields a single-entry plan (which the
-    backend runs inline, skipping pool spin-up entirely).
-    """
-    if trajectories <= 0:
-        raise ValueError("need at least one trajectory")
-    chunk = max(
-        MIN_TRAJECTORY_CHUNK,
-        min(MAX_TRAJECTORY_CHUNK, _CHUNK_AMPLITUDE_BUDGET >> num_qubits),
-    )
-    if trajectories <= chunk:
-        return [(0, trajectories)]
-    plan = [(start, chunk) for start in range(0, trajectories - chunk + 1, chunk)]
-    done = plan[-1][0] + chunk
-    if done < trajectories:
-        plan.append((done, trajectories - done))
-    return plan
-
-
-def _trajectory_chunk_task(context, item):
-    """Accumulate one chunk of trajectories (module-level for pickling).
-
-    ``item`` is a ``(first_trajectory, count)`` window from
-    :func:`plan_trajectory_chunks`; the simulator derives each
-    trajectory's RNG stream from its global index, so the window's
-    contribution is independent of which worker runs it.
-    """
-    events, measured_sim_qubits, num_qubits, root, engine = context
-    start, count = item
-    sim = BatchedTrajectorySimulator(num_qubits, seed=root, engine=engine)
-    return sim.accumulate(
-        events, measured_sim_qubits, count, first_trajectory=start
-    )
+if TYPE_CHECKING:
+    # Annotations only: importing repro.resilience ahead of repro.parallel
+    # closes the repro.parallel <-> repro.resilience import cycle.
+    from repro.resilience.faults import FaultInjector
+    from repro.resilience.retry import RetryPolicy
 
 
 @dataclass
@@ -129,30 +74,21 @@ class NoisyBackend:
     a queued hardware job dying); ``retry`` makes :meth:`run` and
     :meth:`run_schedule` resubmit such transient failures with
     deterministic backoff instead of surfacing them.
+
+    ``workers`` is accepted and ignored: it no longer affects execution,
+    since every run evolves one exact density matrix in the calling
+    process.
     """
 
     def __init__(self, device: Device, day: int = 0, seed: Optional[int] = None,
                  workers: Optional[int] = None,
                  retry: Optional[RetryPolicy] = None,
-                 faults: Optional[FaultInjector] = None,
-                 sim_engine: str = "batched"):
-        if sim_engine not in ENGINE_CODES:
-            raise ValueError(
-                f"unknown sim engine {sim_engine!r}; "
-                f"pick from {sorted(ENGINE_CODES)}"
-            )
+                 faults: Optional[FaultInjector] = None):
         self.device = device
         self.day = day
         self._seed = seed if seed is not None else device.seed * 7919 + day
-        self.workers = workers
         self.retry = retry
         self.faults = faults
-        #: Trajectory engine: ``"batched"``, or the ``"scalar"`` reference
-        #: path that parity tests and serial benchmark legs select.
-        self.sim_engine = sim_engine
-        #: ``parallel.*`` counters accumulated across every run (workers is
-        #: a level, not an accumulator).
-        self.counters: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # timing and error-rate assignment (shared with the RB executor)
@@ -191,7 +127,7 @@ class NoisyBackend:
         return rates
 
     # ------------------------------------------------------------------
-    # lowering to the trajectory simulator
+    # lowering to the noisy event stream
     # ------------------------------------------------------------------
     def lower(self, schedule: Schedule) -> Tuple[List[NoisyOp], Dict[int, int], List[Tuple[int, int]]]:
         """Lower a schedule to noisy events over compacted qubit indices.
@@ -241,29 +177,24 @@ class NoisyBackend:
 
     # ------------------------------------------------------------------
     def run(self, circuit: QuantumCircuit, shots: int = 1024,
-            trajectories: int = 64, readout_error: bool = True,
-            seed: Optional[int] = None,
-            workers: Optional[int] = None) -> ExecutionResult:
+            readout_error: bool = True,
+            seed: Optional[int] = None) -> ExecutionResult:
         """Execute a circuit and return sampled counts (clbit 0 rightmost).
 
         The circuit is timed by the hardware scheduler (right-aligned,
-        barrier-respecting) — the circuit-level ISA path.  ``workers`` fans
-        the trajectory budget over a process pool; the distribution is
-        bitwise identical for every worker count.  ``seed`` (default: the
-        backend's own) roots both the trajectory streams and the shot
-        sampling.
+        barrier-respecting) — the circuit-level ISA path.  ``seed``
+        (default: the backend's own) drives the shot sampling.
         """
         if not any(instr.is_measure for instr in circuit):
             raise ValueError("circuit has no measurements")
         return self.run_schedule(
-            self.schedule_of(circuit), shots=shots, trajectories=trajectories,
-            readout_error=readout_error, seed=seed, workers=workers,
+            self.schedule_of(circuit), shots=shots,
+            readout_error=readout_error, seed=seed,
         )
 
     def run_schedule(self, schedule: Schedule, shots: int = 1024,
-                     trajectories: int = 64, readout_error: bool = True,
-                     seed: Optional[int] = None,
-                     workers: Optional[int] = None) -> ExecutionResult:
+                     readout_error: bool = True,
+                     seed: Optional[int] = None) -> ExecutionResult:
         """Execute an explicitly timed schedule (the pulse-level ISA path).
 
         Recent IBMQ systems expose OpenPulse-style control (the paper's
@@ -272,28 +203,26 @@ class NoisyBackend:
         re-scheduling.  Error rates still derive from the schedule's actual
         overlaps.
 
-        Trajectories are split by :func:`plan_trajectory_chunks` (keyed on
-        budget and qubit count, never worker count), every trajectory's
-        RNG stream derives from its global index under a stable root seed,
-        and the partial accumulators merge in chunk order — so the
-        probabilities do not depend on ``workers``.  A budget that fits
-        one chunk runs inline with no pool at all.
+        The lowered event stream runs through the exact noisy channel
+        (:func:`~repro.sim.density.exact_output_distribution`), so
+        ``probabilities`` carry no sampling noise; only the counts are
+        sampled, from ``seed``.
 
         Job submission is the ``"backend.job"`` fault site: an injected
         rejection or timeout raises
         :class:`~repro.resilience.errors.BackendJobError` before any
         simulation work, and a ``retry`` policy resubmits it.  The result
-        is identical to an unfaulted run — simulation seeds derive from
+        is identical to an unfaulted run — the sampling seed derives from
         the job's stable identity, never from the attempt number.
         """
-        job_key = (self._seed, self.day, shots, trajectories, seed)
+        job_key = (self._seed, self.day, shots, seed)
 
         def submit() -> ExecutionResult:
             if self.faults is not None:
                 self.faults.check("backend.job", job_key)
             return self._run_schedule_once(
-                schedule, shots=shots, trajectories=trajectories,
-                readout_error=readout_error, seed=seed, workers=workers,
+                schedule, shots=shots, readout_error=readout_error,
+                seed=seed,
             )
 
         if self.retry is not None:
@@ -301,81 +230,29 @@ class NoisyBackend:
         return submit()
 
     def _run_schedule_once(self, schedule: Schedule, shots: int,
-                           trajectories: int, readout_error: bool,
-                           seed: Optional[int],
-                           workers: Optional[int]) -> ExecutionResult:
+                           readout_error: bool,
+                           seed: Optional[int]) -> ExecutionResult:
         if not any(t.instruction.is_measure for t in schedule):
             raise ValueError("schedule has no measurements")
-        if trajectories <= 0:
-            raise ValueError("need at least one trajectory")
         events, qubit_map, measures = self.lower(schedule)
         measured_device_qubits = tuple(q for _, q in measures)
         measured_sim_qubits = [qubit_map[q] for q in measured_device_qubits]
 
-        seed_val = seed if seed is not None else self._seed
-        plan = plan_trajectory_chunks(trajectories, len(qubit_map))
-        root = stable_seed_sequence("backend.trajectories", seed_val)
-
-        registry = get_registry()
-        registry.set("sim.engine", float(ENGINE_CODES[self.sim_engine]))
-        context = (events, measured_sim_qubits, len(qubit_map), root,
-                   self.sim_engine)
         with obs_span("backend.run_schedule") as record:
-            record.counters["backend.trajectories"] = float(trajectories)
-            record.counters["backend.chunks"] = float(len(plan))
-            if len(plan) == 1:
-                # A one-chunk plan needs no fan-out: run inline, skipping
-                # pool spin-up *and* the serial-fallback probe.
-                started = time.perf_counter()
-                partials = [_trajectory_chunk_task(context, plan[0])]
-                wall = time.perf_counter() - started
-                registry.set("parallel.mode", 0.0)
-                self.counters["parallel.tasks"] = (
-                    self.counters.get("parallel.tasks", 0.0) + 1.0
-                )
-                self.counters["parallel.wall_seconds"] = (
-                    self.counters.get("parallel.wall_seconds", 0.0) + wall
-                )
-                self.counters["parallel.serial_seconds_estimate"] = (
-                    self.counters.get("parallel.serial_seconds_estimate", 0.0)
-                    + wall
-                )
-                self.counters.setdefault("parallel.workers", 1.0)
-            else:
-                with SharedPayload(
-                    context, name="backend.trajectories"
-                ) as payload:
-                    with ParallelEngine(
-                        workers if workers is not None else self.workers,
-                        name="backend.trajectories",
-                    ) as engine:
-                        partials = engine.map(
-                            _trajectory_chunk_task, plan, payload,
-                        )
-                for name, value in engine.counters.items():
-                    if name == "parallel.workers":
-                        self.counters[name] = value
-                    else:
-                        self.counters[name] = (
-                            self.counters.get(name, 0.0) + value
-                        )
-            total = np.zeros(2 ** len(measured_sim_qubits))
-            for partial in partials:
-                total += partial
-            probs = total / trajectories
+            probs = exact_output_distribution(
+                events, len(qubit_map), measured_sim_qubits
+            )
+        registry = get_registry()
         registry.inc("backend.runs")
-        registry.inc("backend.trajectories", trajectories)
         registry.observe("backend.run_seconds", record.seconds)
 
-        readout = None
         if readout_error:
             cal = self.device.calibration(self.day)
             errs = tuple(cal.readout_error[q] for q in qubit_map)
-            readout = ReadoutModel(errs, errs)
-        if readout is not None:
-            probs = readout.restrict(measured_sim_qubits).apply_to_distribution(
-                probs, range(len(measured_sim_qubits))
-            )
+            probs = ReadoutModel(errs, errs).restrict(
+                measured_sim_qubits
+            ).apply_to_distribution(probs, range(len(measured_sim_qubits)))
+        seed_val = seed if seed is not None else self._seed
         counts = distribution_to_counts(probs, shots,
                                         np.random.default_rng(seed_val))
         return ExecutionResult(

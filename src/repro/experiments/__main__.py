@@ -7,7 +7,7 @@ Usage::
     python -m repro.experiments fig5 --fast
     python -m repro.experiments all --fast
 
-``--fast`` shrinks endpoint subsets and trajectory counts for a quick look;
+``--fast`` shrinks endpoint subsets and sweeps for a quick look;
 the benchmark harness (``pytest benchmarks/ --benchmark-only``) remains the
 canonical way to regenerate the paper's numbers.
 """
@@ -31,7 +31,6 @@ from repro.experiments import (
     scalability,
     sensitivity,
 )
-from repro.experiments.common import ExperimentConfig
 from repro.rb.executor import RBConfig
 
 
@@ -53,10 +52,7 @@ def _run_fig4(fast: bool) -> None:
 
 
 def _run_fig5(fast: bool) -> None:
-    rows = fig5_swap_errors.run_fig5(
-        config=ExperimentConfig(trajectories=100 if fast else 160),
-        max_pairs_per_device=3 if fast else 6,
-    )
+    rows = fig5_swap_errors.run_fig5(max_pairs_per_device=3 if fast else 6)
     print(fig5_swap_errors.format_table(rows))
 
 

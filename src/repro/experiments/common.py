@@ -38,33 +38,25 @@ SCHEDULERS = ("SerialSched", "ParSched", "XtalkSched")
 
 @dataclass
 class ExperimentConfig:
-    """Execution sizing shared by the figure drivers.
+    """Execution settings shared by the figure drivers.
 
-    The paper's shot counts (9216 for tomography, 8192 for distributions)
-    are kept; trajectory counts trade simulation accuracy for wall time.
+    The backend executes the exact noisy channel; ``shots`` sizes the
+    sampled counts (the paper used 9216 for tomography and 8192 for
+    distributions).
     """
 
     shots: int = 4096
-    trajectories: int = 160
     omega: float = 0.5
     mitigate_readout: bool = True
     #: Sample finite shots (paper-faithful) instead of using the exact
-    #: trajectory-averaged distribution.  Benches default to exact
-    #: distributions so scheduler differences are not buried in shot noise.
+    #: output distribution.  Benches default to exact distributions so
+    #: scheduler differences are not buried in shot noise.
     use_sampled_counts: bool = False
     seed: int = 7
-    #: Worker processes for trajectory / tomography fan-out (``None`` defers
-    #: to ``REPRO_WORKERS``, falling back to serial).  Results are identical
+    #: Worker processes for the tomography fan-out (``None`` defers to
+    #: ``REPRO_WORKERS``, falling back to serial).  Results are identical
     #: for every worker count.
     workers: Optional[int] = None
-
-    @classmethod
-    def fast(cls) -> "ExperimentConfig":
-        return cls(shots=512, trajectories=32)
-
-    @classmethod
-    def paper(cls) -> "ExperimentConfig":
-        return cls(shots=8192, trajectories=400, use_sampled_counts=True)
 
 
 # ----------------------------------------------------------------------
@@ -149,10 +141,8 @@ def prepare_circuit(scheduler: str, circuit: QuantumCircuit, device: Device,
 def run_distribution(backend: NoisyBackend, circuit: QuantumCircuit,
                      config: ExperimentConfig) -> np.ndarray:
     """Execute and return the (optionally mitigated) clbit distribution."""
-    result = backend.run(
-        circuit, shots=config.shots, trajectories=config.trajectories,
-        readout_error=True, seed=config.seed, workers=config.workers,
-    )
+    result = backend.run(circuit, shots=config.shots, readout_error=True,
+                         seed=config.seed)
     if config.use_sampled_counts:
         total = sum(result.counts.values())
         probs = np.zeros(len(result.probabilities))

@@ -71,14 +71,14 @@ def measure_readout_model(backend, qubits: Sequence[int],
         circ0 = QuantumCircuit(num, 1, name=f"ro_cal0_q{q}")
         circ0.id(q)
         circ0.measure(q, 0)
-        res0 = backend.run(circ0, shots=shots, trajectories=1)
+        res0 = backend.run(circ0, shots=shots)
         ones = sum(c for bits, c in res0.counts.items() if bits[-1] == "1")
         p1_given_0.append(ones / shots)
 
         circ1 = QuantumCircuit(num, 1, name=f"ro_cal1_q{q}")
         circ1.x(q)
         circ1.measure(q, 0)
-        res1 = backend.run(circ1, shots=shots, trajectories=1)
+        res1 = backend.run(circ1, shots=shots)
         zeros = sum(c for bits, c in res1.counts.items() if bits[-1] == "0")
         p0_given_1.append(zeros / shots)
     return ReadoutModel(tuple(p1_given_0), tuple(p0_given_1))

@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` owns three kinds of instruments, all addressed
 by stable dotted names (``parallel.tasks``, ``smt.solve.seconds``,
-``backend.trajectories``; the full name registry lives in
+``backend.runs``; the full name registry lives in
 ``docs/observability.md``):
 
 * :class:`Counter` — a monotonically increasing total (``inc``);

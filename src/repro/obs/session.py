@@ -4,8 +4,8 @@ A :class:`Session` is the front door of :mod:`repro.obs`.  Entering one
 
 * mints a run ID and opens a **root span** through
   :func:`~repro.obs.trace.span`, so every span any layer opens inside the
-  block (pipeline passes, parallel maps, SMT solves, backend trajectory
-  chunks) nests into one tree — and a session opened inside another span
+  block (pipeline passes, parallel maps, SMT solves, backend runs) nests
+  into one tree — and a session opened inside another span
   nests its whole tree there too;
 * opens a :class:`~repro.obs.registry.DeltaWindow` over the process-wide
   :class:`~repro.obs.registry.MetricsRegistry` so the session can report

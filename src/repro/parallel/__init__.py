@@ -13,11 +13,6 @@ from repro.parallel.engine import (
     resolve_min_parallel_seconds,
     resolve_workers,
 )
-from repro.parallel.payload import (
-    SharedPayload,
-    fork_inherits_globals,
-    unwrap_payload,
-)
 from repro.parallel.race import (
     RaceOutcome,
     RaceResult,
@@ -35,14 +30,11 @@ __all__ = [
     "ParallelEngine",
     "RaceOutcome",
     "RaceResult",
-    "SharedPayload",
     "WORKERS_ENV",
-    "fork_inherits_globals",
     "race_to_first_good",
     "resolve_min_parallel_seconds",
     "resolve_workers",
     "stable_entropy",
     "stable_rng",
     "stable_seed_sequence",
-    "unwrap_payload",
 ]

@@ -1,8 +1,8 @@
 """Process-pool fan-out for embarrassingly parallel work units.
 
-The repository's three hot loops — SRB characterization experiments,
-trajectory batches, and tomography settings — are all lists of independent
-tasks.  :class:`ParallelEngine` runs such a list either serially (the
+The repository's fan-out loops — SRB characterization experiments and
+tomography settings — are lists of independent tasks.
+:class:`ParallelEngine` runs such a list either serially (the
 ``workers=1`` fallback) or over a :class:`~concurrent.futures.ProcessPoolExecutor`,
 and reports cost through the same counter namespace the pipeline passes
 use:
@@ -27,16 +27,16 @@ registry — registry totals are worker-count invariant.
 
 Worker count resolution order: explicit ``workers=`` keyword, then the
 ``REPRO_WORKERS`` environment variable, then serial.  Inside a pool worker
-the engine always resolves to serial so nested fan-outs (a tomography
-setting running trajectory batches) never oversubscribe.
+the engine always resolves to serial so nested fan-outs never
+oversubscribe.
 
 Minimum-work serial fallback
 ----------------------------
 
 Process pools only pay off when the work dwarfs the fork/pickle/IPC tax;
-the perf baseline showed small fan-outs (tomography settings, trajectory
-batches) running *slower* at 4 workers than serially.  A multi-worker
-engine therefore **probes**: it runs the first task serially, estimates
+the perf baseline showed small fan-outs (tomography settings) running
+*slower* at 4 workers than serially.  A multi-worker engine therefore
+**probes**: it runs the first task serially, estimates
 the map's total serial cost as ``probe_seconds * len(items)``, and only
 spins up the pool when that estimate clears ``min_parallel_seconds``
 (default 0.2 s; overridable per engine, via the
@@ -48,13 +48,7 @@ injection always forces the real pool so worker-death tests stay honest.
 
 Task functions must be module-level (picklable) and are called as
 ``fn(context, item)``; the ``context`` object is shipped to each worker
-once via the pool initializer rather than once per task.  Wrapping a
-large read-only context in :class:`~repro.parallel.payload.SharedPayload`
-shrinks even that one shipment to a key token — fork-started workers
-resolve the key against the inherited module-global store
-(copy-on-write, zero pickling) and the engine unwraps the payload before
-every ``fn`` call, so task functions never see the wrapper.  Savings are
-recorded under ``parallel.payload.*``.
+once via the pool initializer rather than once per task.
 
 Resilience
 ----------
@@ -95,7 +89,6 @@ from repro.obs.live.heartbeat import (
 )
 from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
-from repro.parallel.payload import SharedPayload, unwrap_payload
 from repro.resilience.errors import RemoteTaskError, TaskFailure, WorkerCrashError
 from repro.resilience.faults import FaultDirective, FaultInjector, execute_directive
 from repro.resilience.retry import RetryPolicy
@@ -207,7 +200,7 @@ def _run_task(fn: Callable[[Any, Any], Any], index: int, item: Any,
             if directive is not None:
                 execute_directive(directive, process_exit=_IN_WORKER)
             payload: Tuple[Any, ...] = (
-                "ok", fn(unwrap_payload(_WORKER_CONTEXT), item)
+                "ok", fn(_WORKER_CONTEXT, item)
             )
         except Exception as error:
             payload = ("error", _shippable_error(error),
@@ -456,7 +449,6 @@ class ParallelEngine:
         tail of the list), so keys, ``on_result`` callbacks, and failure
         records keep their full-list identity.
         """
-        context = unwrap_payload(context)
         max_attempts = self._max_attempts()
         for i in indexes:
             item = work[i]

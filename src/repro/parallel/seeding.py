@@ -60,8 +60,8 @@ def stable_seed_sequence(*parts: Any) -> np.random.SeedSequence:
     """A :class:`~numpy.random.SeedSequence` rooted at the stable key.
 
     Use :meth:`~numpy.random.SeedSequence.spawn` to derive independent
-    child streams (e.g. one per trajectory chunk) whose values do not
-    depend on how the chunks are distributed over workers.
+    child streams (e.g. one per task) whose values do not depend on how
+    the tasks are distributed over workers.
     """
     return np.random.SeedSequence(stable_entropy(*parts))
 

@@ -7,11 +7,10 @@ original paper's experiments:
 * :mod:`repro.sim.statevector` — a dense statevector engine with
   measurement and sampling;
 * :mod:`repro.sim.channels` — noise channels (depolarizing, amplitude
-  damping, dephasing, readout) in Kraus/trajectory form;
-* :mod:`repro.sim.trajectory` — batched Monte-Carlo trajectory execution
-  of a noisy instruction stream (:class:`BatchedTrajectorySimulator`);
-* :mod:`repro.sim.density` — the channel-exact density-matrix reference
-  the trajectory engine is tested against;
+  damping, dephasing, readout) in Kraus form;
+* :mod:`repro.sim.density` — the lowered noisy event stream
+  (:class:`NoisyOp`) and its exact density-matrix execution, the engine
+  behind :class:`~repro.device.backend.NoisyBackend`;
 * :mod:`repro.sim.stabilizer` — a CHP-style stabilizer simulator used by the
   randomized-benchmarking substrate, where circuits are Clifford-only and
   20-qubit dense simulation would be wasteful.
@@ -26,15 +25,8 @@ from repro.sim.channels import (
     two_qubit_depolarizing_paulis,
     ReadoutModel,
 )
-from repro.sim.trajectory import (
-    ENGINE_CODES,
-    BatchedTrajectorySimulator,
-    NoisyOp,
-    trajectory_generators,
-    trajectory_seed,
-)
 from repro.sim.stabilizer import StabilizerSimulator
-from repro.sim.density import DensityMatrix, exact_output_distribution
+from repro.sim.density import DensityMatrix, NoisyOp, exact_output_distribution
 
 __all__ = [
     "gate_unitary",
@@ -46,11 +38,7 @@ __all__ = [
     "phase_damping_kraus",
     "two_qubit_depolarizing_paulis",
     "ReadoutModel",
-    "BatchedTrajectorySimulator",
-    "ENGINE_CODES",
     "NoisyOp",
-    "trajectory_generators",
-    "trajectory_seed",
     "StabilizerSimulator",
     "DensityMatrix",
     "exact_output_distribution",

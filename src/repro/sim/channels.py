@@ -1,4 +1,4 @@
-"""Noise channels in Kraus and trajectory form.
+"""Noise channels in Kraus form.
 
 These model the three physical error processes the paper's evaluation rests
 on:
@@ -9,8 +9,8 @@ on:
   (T2) applied for the time a qubit sits idle or under a gate;
 * **readout error** — a classical per-qubit confusion matrix.
 
-Trajectory (Monte-Carlo wavefunction) sampling helpers are provided for each
-channel so the statevector engine never needs density matrices.
+:mod:`repro.sim.density` applies the gate and decoherence channels in
+closed form; the Kraus operators here verify that algebra in tests.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def two_qubit_depolarizing_paulis() -> Tuple[str, ...]:
 # decoherence parameters
 # ----------------------------------------------------------------------
 def decay_probabilities(duration: float, t1: float, t2: float) -> Tuple[float, float]:
-    """Convert an idle duration and (T1, T2) into trajectory probabilities.
+    """Convert an idle duration and (T1, T2) into channel probabilities.
 
     Returns ``(gamma, p_z)`` where ``gamma`` is the amplitude-damping
     probability ``1 - exp(-t/T1)`` and ``p_z`` is the probability of a Z

@@ -70,4 +70,4 @@ def fast_rb_config():
 
 @pytest.fixture()
 def fast_experiment_config():
-    return ExperimentConfig(shots=512, trajectories=48, seed=11)
+    return ExperimentConfig(shots=512, seed=11)

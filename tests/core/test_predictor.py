@@ -63,7 +63,7 @@ class TestPredictSuccess:
         backend = NoisyBackend(poughkeepsie)
         bench = swap_benchmark(poughkeepsie.coupling, 0, 13,
                                path=(0, 5, 10, 11, 12, 13))
-        config = ExperimentConfig(trajectories=200, seed=3)
+        config = ExperimentConfig(seed=3)
         measured = {}
         predicted = {}
         for scheduler in ("ParSched", "XtalkSched"):

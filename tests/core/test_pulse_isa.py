@@ -45,8 +45,7 @@ class TestPulseScheduling:
                                    omega=0.5, isa="pulse")
         result = scheduler.schedule(pair_circuit())
         backend = NoisyBackend(poughkeepsie, seed=7)
-        execution = backend.run_schedule(result.intended_schedule, shots=256,
-                                         trajectories=32)
+        execution = backend.run_schedule(result.intended_schedule, shots=256)
         assert sum(execution.counts.values()) == 256
         # executed verbatim: the result's schedule IS the intended one
         assert execution.schedule is result.intended_schedule

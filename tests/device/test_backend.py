@@ -6,6 +6,7 @@ import pytest
 from repro.circuit.circuit import QuantumCircuit
 from repro.device.backend import NoisyBackend
 from repro.device.topology import normalize_edge
+from repro.sim.density import MAX_QUBITS
 
 
 @pytest.fixture()
@@ -136,10 +137,23 @@ class TestRun:
         with pytest.raises(ValueError, match="measure"):
             backend.run(QuantumCircuit(20).h(0))
 
+    @pytest.mark.parametrize("active", [MAX_QUBITS, MAX_QUBITS + 1])
+    def test_active_qubit_cap(self, backend, active):
+        circ = QuantumCircuit(20, 1)
+        for q in range(active):
+            circ.x(q)
+        circ.measure(0, 0)
+        if active > MAX_QUBITS:
+            with pytest.raises(ValueError, match="beyond 10 qubits"):
+                backend.run(circ, shots=16)
+        else:
+            result = backend.run(circ, shots=16)
+            assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
+
     def test_counts_and_probabilities(self, backend):
         circ = QuantumCircuit(20, 1).x(3)
         circ.measure(3, 0)
-        result = backend.run(circ, shots=256, trajectories=8)
+        result = backend.run(circ, shots=256)
         assert sum(result.counts.values()) == 256
         assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-6)
         # dominated by "1" but readout error flips some
@@ -148,7 +162,7 @@ class TestRun:
     def test_readout_error_toggle(self, backend):
         circ = QuantumCircuit(20, 1).x(3)
         circ.measure(3, 0)
-        clean = backend.run(circ, shots=512, trajectories=8, readout_error=False)
+        clean = backend.run(circ, shots=512, readout_error=False)
         assert clean.probabilities[1] > 0.995
 
     def test_explicit_seed_drives_shot_sampling(self, backend):
@@ -156,17 +170,18 @@ class TestRun:
         circ.measure(0, 0)
         circ.measure(1, 1)
 
-        def counts(seed):
-            return backend.run(circ, shots=2048, trajectories=8,
-                               seed=seed).counts
+        def run(seed):
+            return backend.run(circ, shots=2048, seed=seed)
 
-        assert counts(1) == counts(1)
-        assert counts(1) != counts(2)
+        assert run(1).counts == run(1).counts
+        assert run(1).counts != run(2).counts
+        # The seed samples shots only: the distribution is exact.
+        assert np.array_equal(run(1).probabilities, run(2).probabilities)
 
     def test_duration_reported(self, backend):
         circ = QuantumCircuit(20, 1).x(3)
         circ.measure(3, 0)
-        result = backend.run(circ, shots=16, trajectories=4)
+        result = backend.run(circ, shots=16)
         assert result.duration > 3000  # at least the readout duration
 
     def test_crosstalk_hurts_parallel_execution(self, backend):
@@ -178,9 +193,9 @@ class TestRun:
         serial.cx(11, 12)
         serial.measure(10, 0)
         serial.measure(11, 1)
-        p_par = backend.run(parallel, shots=4096, trajectories=600,
+        p_par = backend.run(parallel, shots=4096,
                             readout_error=False).probabilities
-        p_ser = backend.run(serial, shots=4096, trajectories=600,
+        p_ser = backend.run(serial, shots=4096,
                             readout_error=False).probabilities
         # ideal output is |00>; crosstalk reduces its probability
         assert p_ser[0] > p_par[0] + 0.02

@@ -62,15 +62,16 @@ class TestRunDistribution:
         assert probs[1] > 0.9
 
     def test_mitigation_recovers_ideal(self, poughkeepsie):
-        config = ExperimentConfig(shots=2048, trajectories=8,
-                                  mitigate_readout=True,
+        config = ExperimentConfig(shots=2048, mitigate_readout=True,
                                   use_sampled_counts=False)
         backend = NoisyBackend(poughkeepsie, seed=1)
         circ = QuantumCircuit(20, 1).x(2)
         circ.measure(2, 0)
         probs = run_distribution(backend, circ, config)
-        # readout mitigation on an exact distribution inverts exactly
-        assert probs[1] == pytest.approx(1.0, abs=1e-6)
+        # Readout mitigation on an exact distribution inverts exactly,
+        # leaving the X gate's depolarizing error: 2 of its 3 Paulis flip.
+        p = poughkeepsie.calibration(0).single_qubit_error[2]
+        assert probs[1] == pytest.approx(1.0 - 2.0 * p / 3.0, abs=1e-12)
 
     def test_distribution_as_dict(self):
         probs = np.array([0.5, 0.0, 0.25, 0.25])
@@ -87,7 +88,3 @@ class TestSwapErrorRate:
                                    fast_experiment_config)
         assert 0.0 <= err <= 1.0
         assert dur > 0
-
-    def test_config_presets(self):
-        assert ExperimentConfig.fast().trajectories < \
-            ExperimentConfig.paper().trajectories

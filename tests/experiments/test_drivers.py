@@ -15,7 +15,7 @@ from repro.experiments.common import ExperimentConfig
 
 @pytest.fixture()
 def tiny_config():
-    return ExperimentConfig(shots=256, trajectories=48, seed=5)
+    return ExperimentConfig(shots=256, seed=5)
 
 
 class TestFig5:
@@ -62,10 +62,7 @@ class TestFig8:
 
 class TestFig9:
     def test_redundant_has_higher_error(self, poughkeepsie):
-        # This test compares Monte-Carlo error rates of two distinct
-        # circuits, so it needs a trajectory budget where the planted
-        # effect clears the sampling noise (48 is marginal, 96 is not).
-        config = ExperimentConfig(shots=256, trajectories=96, seed=5)
+        config = ExperimentConfig(shots=256, seed=5)
         rows = fig9_hidden_shift.run_fig9(
             device=poughkeepsie,
             config=config,

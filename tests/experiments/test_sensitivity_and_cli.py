@@ -18,20 +18,20 @@ class TestSensitivity:
         assert device.crosstalk.pairs == ()
 
     def test_below_threshold_ties_parsched(self):
-        config = ExperimentConfig(trajectories=32, seed=3)
+        config = ExperimentConfig(seed=3)
         rows = sensitivity.run_sensitivity(factors=(1.5,), config=config)
         assert len(rows) == 1
         assert not rows[0].xtalk_serialized
         assert rows[0].improvement == pytest.approx(1.0)
 
     def test_strong_factor_serializes(self):
-        config = ExperimentConfig(trajectories=64, seed=3)
+        config = ExperimentConfig(seed=3)
         rows = sensitivity.run_sensitivity(factors=(10.0,), config=config)
         assert rows[0].xtalk_serialized
         assert rows[0].xtalk_error < rows[0].par_error
 
     def test_format_table(self):
-        config = ExperimentConfig(trajectories=16, seed=3)
+        config = ExperimentConfig(seed=3)
         rows = sensitivity.run_sensitivity(factors=(1.5, 8.0), config=config)
         table = sensitivity.format_table(rows)
         assert "improvement" in table

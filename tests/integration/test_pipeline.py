@@ -25,7 +25,7 @@ from repro.workloads.swap import swap_benchmark
 
 @pytest.fixture(scope="module")
 def solid_config():
-    return ExperimentConfig(shots=2048, trajectories=250, seed=9,
+    return ExperimentConfig(shots=2048, seed=9,
                             use_sampled_counts=False)
 
 
@@ -34,7 +34,7 @@ class TestHeadlineResult:
 
     @pytest.fixture(scope="class")
     def case_study_errors(self, poughkeepsie, pk_report):
-        config = ExperimentConfig(shots=2048, trajectories=250, seed=9,
+        config = ExperimentConfig(shots=2048, seed=9,
                                   use_sampled_counts=False)
         backend = NoisyBackend(poughkeepsie)
         bench = swap_benchmark(poughkeepsie.coupling, 0, 13,
@@ -80,7 +80,7 @@ class TestMeasuredCharacterizationDrivesScheduling:
         assert result.candidate_pairs  # found the (5,10)|(11,12) region
         assert result.serialized_pairs
 
-        config = ExperimentConfig(shots=1024, trajectories=200, seed=4,
+        config = ExperimentConfig(shots=1024, seed=4,
                                   use_sampled_counts=False)
         backend = NoisyBackend(poughkeepsie)
         err_x, _ = swap_error_rate(backend, bench, "XtalkSched", report, config)
@@ -101,7 +101,7 @@ class TestAllDevices:
         device = devices[device_index]
         report = ground_truth_report(device)
         backend = NoisyBackend(device)
-        config = ExperimentConfig(shots=1024, trajectories=200, seed=13,
+        config = ExperimentConfig(shots=1024, seed=13,
                                   use_sampled_counts=False)
         (s, d) = crosstalk_affected_endpoints(
             device.coupling, report.high_pairs()

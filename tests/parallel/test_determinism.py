@@ -1,13 +1,12 @@
-"""Results must not depend on worker count or submission order (satellite 3).
+"""Results must not depend on worker count or submission order.
 
-The whole point of the stable-seeding rework: fanning work over a process
-pool is purely a wall-time optimization.  Characterization reports,
-trajectory distributions, and tomography errors are *identical* — bitwise,
-where floats are concerned — for every worker count.
+Fanning work over a process pool is purely a wall-time optimization.
+Characterization reports, executed distributions, and tomography errors
+are *identical* — bitwise, where floats are concerned — for every worker
+count.
 """
 
 import numpy as np
-import pytest
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.characterization.campaign import (
@@ -19,6 +18,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     ground_truth_report,
     prepare_circuit,
+    run_distribution,
     tomography_error,
 )
 from repro.rb.executor import RBConfig, RBExecutor
@@ -71,35 +71,15 @@ class TestBackendWorkerIndependence:
         return qc
 
     def test_probabilities_bitwise_identical(self, poughkeepsie):
-        backend = NoisyBackend(poughkeepsie, day=0, seed=11)
         circuit = self._bell(poughkeepsie)
-        serial = backend.run(circuit, shots=128, trajectories=40, workers=1)
-        pooled = backend.run(circuit, shots=128, trajectories=40, workers=4)
-        assert np.array_equal(serial.probabilities, pooled.probabilities)
-        assert serial.counts == pooled.counts
-
-    def test_partial_chunk_covers_full_budget(self, poughkeepsie):
-        # The bell circuit activates 2 qubits, so the planner's chunk size
-        # saturates at MAX_TRAJECTORY_CHUNK (256): 600 trajectories =
-        # 2 full chunks of 256 + one partial chunk of 88, and the partial
-        # chunk still contributes (probabilities stay normalized).
-        backend = NoisyBackend(poughkeepsie, day=0, seed=11)
-        circuit = self._bell(poughkeepsie)
-        result = backend.run(circuit, shots=64, trajectories=600, workers=1)
-        assert backend.counters["parallel.tasks"] == 3.0
-        assert result.probabilities.sum() == pytest.approx(1.0)
-
-    def test_single_chunk_plan_runs_inline(self, poughkeepsie):
-        # A budget that fits one chunk must not spin up any fan-out
-        # machinery: one inline task, serial mode gauge.
-        from repro.obs.registry import get_registry
-
-        backend = NoisyBackend(poughkeepsie, day=0, seed=11)
-        circuit = self._bell(poughkeepsie)
-        result = backend.run(circuit, shots=64, trajectories=40, workers=4)
-        assert backend.counters["parallel.tasks"] == 1.0
-        assert get_registry().snapshot()["gauges"]["parallel.mode"] == 0.0
-        assert result.probabilities.sum() == pytest.approx(1.0)
+        results = [
+            run_distribution(
+                NoisyBackend(poughkeepsie, day=0, seed=11, workers=workers),
+                circuit, ExperimentConfig(shots=128, workers=workers),
+            )
+            for workers in (1, 2)
+        ]
+        assert np.array_equal(results[0], results[1])
 
 
 class TestTomographyWorkerIndependence:
@@ -107,7 +87,7 @@ class TestTomographyWorkerIndependence:
         report = ground_truth_report(poughkeepsie)
         bench = swap_benchmark(poughkeepsie.coupling, 0, 8)
         backend = NoisyBackend(poughkeepsie, day=0)
-        config = ExperimentConfig(shots=128, trajectories=16)
+        config = ExperimentConfig(shots=128)
         prepared = prepare_circuit(
             "ParSched", bench.circuit, poughkeepsie, report
         )
@@ -115,6 +95,6 @@ class TestTomographyWorkerIndependence:
             backend, prepared, bench.meeting_pair, config, workers=1
         )
         pooled = tomography_error(
-            backend, prepared, bench.meeting_pair, config, workers=3
+            backend, prepared, bench.meeting_pair, config, workers=2
         )
         assert serial == pooled

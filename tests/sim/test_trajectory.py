@@ -1,12 +1,16 @@
-"""Tests for the Monte-Carlo trajectory executor."""
+"""Noise physics of the lowered noisy event stream (:class:`NoisyOp`).
+
+Each stream runs through the exact channel
+(:func:`~repro.sim.density.exact_output_distribution`), so the expected
+values hold to rounding error.
+"""
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.sim.channels import ReadoutModel, decay_probabilities
-from repro.sim.trajectory import BatchedTrajectorySimulator, NoisyOp
+from repro.sim.density import NoisyOp, exact_output_distribution
 
 
 class TestNoisyOp:
@@ -37,16 +41,10 @@ class TestNoisyOp:
 
 class TestNoiselessExecution:
     def test_bell_distribution(self):
-        sim = BatchedTrajectorySimulator(2, seed=0)
         ops = [NoisyOp.gate("h", (0,)), NoisyOp.gate("cx", (0, 1))]
-        probs = sim.output_distribution(ops, [0, 1], trajectories=4)
-        assert probs[0] == pytest.approx(0.5)
-        assert probs[3] == pytest.approx(0.5)
-
-    def test_trajectories_must_be_positive(self):
-        sim = BatchedTrajectorySimulator(1, seed=0)
-        with pytest.raises(ValueError):
-            sim.output_distribution([], [0], trajectories=0)
+        probs = exact_output_distribution(ops, 2, [0, 1])
+        assert probs[0] == pytest.approx(0.5, abs=1e-12)
+        assert probs[3] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestNoisePhysics:
@@ -55,56 +53,49 @@ class TestNoisePhysics:
         duration = 50e3
         gamma, p_z = decay_probabilities(duration, t1, 2 * t1)
         ops = [NoisyOp.gate("x", (0,)), NoisyOp.decay(0, gamma, p_z)]
-        sim = BatchedTrajectorySimulator(1, seed=3)
-        probs = sim.output_distribution(ops, [0], trajectories=4000)
-        assert probs[1] == pytest.approx(math.exp(-1.0), abs=0.03)
+        probs = exact_output_distribution(ops, 1, [0])
+        assert probs[1] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_dephasing_destroys_coherence_not_population(self):
         # |+> under pure dephasing keeps P(1) = 0.5 but loses <X>.
         ops = [NoisyOp.gate("h", (0,)), NoisyOp.decay(0, 0.0, 0.5),
                NoisyOp.gate("h", (0,))]
-        sim = BatchedTrajectorySimulator(1, seed=5)
-        probs = sim.output_distribution(ops, [0], trajectories=4000)
+        probs = exact_output_distribution(ops, 1, [0])
         # p_z = 0.5 means fully dephased: H|+/-> mixture -> uniform
-        assert probs[1] == pytest.approx(0.5, abs=0.04)
+        assert probs[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_depolarizing_rate_on_identity_gate(self):
         p = 0.3
         ops = [NoisyOp.gate("id", (0,), error_prob=p)]
-        sim = BatchedTrajectorySimulator(1, seed=7)
-        probs = sim.output_distribution(ops, [0], trajectories=6000)
+        probs = exact_output_distribution(ops, 1, [0])
         # error applies X, Y, or Z with equal chance; 2/3 of errors flip.
-        assert probs[1] == pytest.approx(p * 2 / 3, abs=0.03)
+        assert probs[1] == pytest.approx(p * 2 / 3, abs=1e-12)
 
     def test_two_qubit_depolarizing_spreads(self):
         p = 1.0  # always an error
         ops = [NoisyOp.gate("cx", (0, 1), error_prob=p)]
-        sim = BatchedTrajectorySimulator(2, seed=9)
-        probs = sim.output_distribution(ops, [0, 1], trajectories=4000)
+        probs = exact_output_distribution(ops, 2, [0, 1])
         # 15 Paulis uniformly: 00 remains only for ZI, IZ, ZZ -> 3/15
-        assert probs[0] == pytest.approx(3 / 15, abs=0.03)
+        assert probs[0] == pytest.approx(3 / 15, abs=1e-12)
 
     def test_decay_on_ground_state_is_identity(self):
         ops = [NoisyOp.decay(0, 0.9, 0.0)]
-        sim = BatchedTrajectorySimulator(1, seed=11)
-        probs = sim.output_distribution(ops, [0], trajectories=50)
-        assert probs[0] == pytest.approx(1.0)
+        probs = exact_output_distribution(ops, 1, [0])
+        assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestReadout:
     def test_readout_applied_to_distribution(self):
         ro = ReadoutModel.uniform(1, 0.1)
-        sim = BatchedTrajectorySimulator(1, seed=13)
-        probs = sim.output_distribution(
-            [NoisyOp.gate("x", (0,))], [0], trajectories=5, readout=ro
+        probs = exact_output_distribution(
+            [NoisyOp.gate("x", (0,))], 1, [0], readout=ro
         )
-        assert probs[0] == pytest.approx(0.1)
-        assert probs[1] == pytest.approx(0.9)
+        assert probs[0] == pytest.approx(0.1, abs=1e-12)
+        assert probs[1] == pytest.approx(0.9, abs=1e-12)
 
     def test_readout_restricted_to_measured_qubits(self):
         ro = ReadoutModel((0.0, 0.25), (0.0, 0.25))
-        sim = BatchedTrajectorySimulator(2, seed=15)
-        probs = sim.output_distribution(
-            [NoisyOp.gate("x", (1,))], [1], trajectories=5, readout=ro
+        probs = exact_output_distribution(
+            [NoisyOp.gate("x", (1,))], 2, [1], readout=ro
         )
-        assert probs[0] == pytest.approx(0.25)
+        assert probs[0] == pytest.approx(0.25, abs=1e-12)

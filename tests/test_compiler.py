@@ -63,7 +63,7 @@ class TestCompile:
     def test_compiled_circuit_executes(self, poughkeepsie, pk_report):
         result = compile_circuit(logical_circuit(), poughkeepsie, pk_report)
         backend = NoisyBackend(poughkeepsie, seed=4)
-        execution = backend.run(result.circuit, shots=512, trajectories=32)
+        execution = backend.run(result.circuit, shots=512)
         assert sum(execution.counts.values()) == 512
         # Bell state: correlated outcomes dominate
         correlated = execution.counts.get("00", 0) + execution.counts.get("11", 0)
