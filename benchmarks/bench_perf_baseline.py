@@ -109,30 +109,31 @@ def _timed(fn):
     return value, time.perf_counter() - started
 
 
-def _interleaved(unit, workers: int, units: int):
-    """``unit(1)`` and ``unit(workers)``, ``units`` times each, interleaved:
-    ``(serial values, serial s, pooled values, pooled s)``.
+def _interleaved(serial, parallel, units: int):
+    """``serial()`` and ``parallel()``, ``units`` times each, interleaved:
+    ``(serial values, serial median s, parallel values, parallel median s)``.
 
-    Each leg's seconds are ``units`` times its median unit.  Legs of a few
-    hundredths of a second swing by more than the ``--check`` budget on a
-    busy host: interleaving (which leg goes first alternates) cancels the
-    host's drift, the median drops one-off stalls, and the collector stays
-    off so neither leg pays for the other's garbage.
+    Units of a few hundredths or tenths of a second swing by more than the
+    ``--check`` budget on a busy host: interleaving (which leg goes first
+    alternates) cancels the host's drift, the median unit drops one-off
+    stalls, and the collector stays off so neither leg pays for the other's
+    garbage.
     """
-    values = {1: [], workers: []}
-    times = {1: [], workers: []}
+    legs = (serial, parallel)
+    values = ([], [])
+    times = ([], [])
     gc.collect()
     gc.disable()
     try:
         for index in range(units):
-            for count in (1, workers) if index % 2 == 0 else (workers, 1):
-                value, seconds = _timed(lambda: unit(count))
-                values[count].append(value)
-                times[count].append(seconds)
+            for leg in (0, 1) if index % 2 == 0 else (1, 0):
+                value, seconds = _timed(legs[leg])
+                values[leg].append(value)
+                times[leg].append(seconds)
     finally:
         gc.enable()
-    return (values[1], units * statistics.median(times[1]),
-            values[workers], units * statistics.median(times[workers]))
+    return (values[0], statistics.median(times[0]),
+            values[1], statistics.median(times[1]))
 
 
 def bench_campaign(workers: int, fast: bool) -> dict:
@@ -182,9 +183,10 @@ def bench_exact_backend(workers: int, fast: bool) -> dict:
                 for count in (1, workers)}
     units = 40 if fast else 200
 
-    single, serial_seconds, pooled, parallel_seconds = _interleaved(
-        lambda count: backends[count].run(prepared, shots=1024),
-        workers, units)
+    single, serial_unit, pooled, parallel_unit = _interleaved(
+        lambda: backends[1].run(prepared, shots=1024),
+        lambda: backends[workers].run(prepared, shots=1024), units)
+    serial_seconds, parallel_seconds = units * serial_unit, units * parallel_unit
     return {
         "serial_seconds": serial_seconds,
         "parallel_seconds": parallel_seconds,
@@ -211,10 +213,12 @@ def bench_exact_tomography(workers: int, fast: bool) -> dict:
     config = ExperimentConfig(shots=1024)
     units = 5 if fast else 25
 
-    single, serial_seconds, pooled, parallel_seconds = _interleaved(
-        lambda count: tomography_error(backend, prepared, bench.meeting_pair,
-                                       config, workers=count),
-        workers, units)
+    single, serial_unit, pooled, parallel_unit = _interleaved(
+        lambda: tomography_error(backend, prepared, bench.meeting_pair,
+                                 config, workers=1),
+        lambda: tomography_error(backend, prepared, bench.meeting_pair,
+                                 config, workers=workers), units)
+    serial_seconds, parallel_seconds = units * serial_unit, units * parallel_unit
     return {
         "serial_seconds": serial_seconds,
         "parallel_seconds": parallel_seconds,
@@ -242,32 +246,35 @@ def bench_live_overhead(workers: int, fast: bool) -> dict:
     device = ibmq_poughkeepsie()
     rb = RBConfig.fast() if fast else RBConfig()
     clifford_group(2)
+    campaign = CharacterizationCampaign(device, rb_config=rb, seed=3)
 
-    off_campaign = CharacterizationCampaign(device, rb_config=rb, seed=3)
-    off, off_seconds = _timed(lambda: off_campaign.run(
-        CharacterizationPolicy.ONE_HOP_PACKED, workers=workers))
+    def run():
+        return campaign.run(CharacterizationPolicy.ONE_HOP_PACKED,
+                            workers=workers)
 
-    on_campaign = CharacterizationCampaign(device, rb_config=rb, seed=3)
+    run()  # fill the RB memo caches outside both legs
     with tempfile.TemporaryDirectory(prefix="repro-bench-live-") as tmp:
-        with LivePlane(tmp, interval=0.05, rules=default_fleet_rules(),
-                       source="bench_perf"):
-            on, on_seconds = _timed(lambda: on_campaign.run(
-                CharacterizationPolicy.ONE_HOP_PACKED, workers=workers))
+        def observed():
+            with LivePlane(tmp, interval=0.05, rules=default_fleet_rules(),
+                           source="bench_perf"):
+                return run()
 
-    identical = (
-        off.report.independent == on.report.independent
-        and off.report.conditional == on.report.conditional
-    )
+        off, off_seconds, on, on_seconds = _interleaved(run, observed, 5)
+
+    reports = [(o.report.independent, o.report.conditional)
+               for o in off + on]
     return {
         "serial_seconds": off_seconds,
         "parallel_seconds": on_seconds,
         "workers": workers,
         "speedup": off_seconds / on_seconds,
         "overhead_ratio": on_seconds / off_seconds,
-        "deterministic_across_worker_counts": identical,
+        "deterministic_across_worker_counts": all(
+            r == reports[0] for r in reports),
         "notes": "serial = live plane off; parallel = identical campaign "
                  "under a LivePlane (0.05s snapshots + heartbeats + "
-                 "snapshot JSONL); overhead_ratio = on/off",
+                 "snapshot JSONL); 5 units per leg interleaved, leg = "
+                 "median unit; overhead_ratio = on/off",
     }
 
 

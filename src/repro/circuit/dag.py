@@ -88,8 +88,9 @@ class CircuitDag:
 
     # ------------------------------------------------------------------
     def topological_order(self) -> List[int]:
-        """A topological order that preserves original program order."""
-        return list(nx.lexicographical_topological_sort(self.graph))
+        """Program order: every edge runs from a lower to a higher index, so
+        it is a topological order (the lexicographically smallest one)."""
+        return list(range(len(self.circuit)))
 
     def layers(self) -> List[List[int]]:
         """ASAP dependency layers (directives travel with their level).

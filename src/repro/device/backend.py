@@ -130,48 +130,74 @@ class NoisyBackend:
     # lowering to the noisy event stream
     # ------------------------------------------------------------------
     def lower(self, schedule: Schedule) -> Tuple[List[NoisyOp], Dict[int, int], List[Tuple[int, int]]]:
-        """Lower a schedule to noisy events over compacted qubit indices.
+        """Lower a schedule to noisy events over reused simulator slots.
 
         Returns ``(events, qubit_map, measures)`` where ``qubit_map`` maps
-        device qubit -> simulator qubit and ``measures`` lists
+        device qubit -> simulator slot and ``measures`` lists
         ``(clbit, device_qubit)`` pairs.
+
+        Walking the time-ordered operations, a qubit takes a slot at its
+        first operation.  An unmeasured qubit frees its slot after its last
+        one; measured qubits keep theirs to the end.  A qubit that takes a
+        freed slot first resets it with a full amplitude damping
+        (``gamma = 1``: exactly ``rho -> |0><0| (x) Tr_slot rho``), which
+        discards the finished qubit without touching the others.  Greedy
+        assignment in start order colours the live intervals optimally, so
+        the slot count is the peak number of simultaneously live qubits.
         """
         cal = self.device.calibration(self.day)
-        active = schedule.circuit.active_qubits()
-        qubit_map = {q: i for i, q in enumerate(active)}
         rates = self.gate_error_rates(schedule)
 
         ordered = sorted(
             (op for op in schedule if not op.instruction.is_barrier),
             key=lambda op: (op.start, op.index),
         )
+        measured = {op.instruction.qubits[0] for op in ordered
+                    if op.instruction.is_measure}
+        last_op: Dict[int, int] = {}
+        for pos, op in enumerate(ordered):
+            for q in op.instruction.qubits:
+                last_op[q] = pos
+
+        qubit_map: Dict[int, int] = {}
+        free_slots: List[int] = []
+        num_slots = 0
         last_end: Dict[int, float] = {}
         events: List[NoisyOp] = []
         measures: List[Tuple[int, int]] = []
-        for op in ordered:
+        for pos, op in enumerate(ordered):
             instr = op.instruction
-            # Idle decay since the previous operation on each operand; a
-            # qubit's clock starts at its first operation (paper §9.1).
             for q in instr.qubits:
-                if q in last_end and op.start > last_end[q] + 1e-9:
-                    gamma, p_z = decay_probabilities(
-                        op.start - last_end[q], cal.t1[q], cal.t2[q]
-                    )
-                    events.append(NoisyOp.decay(qubit_map[q], gamma, p_z))
+                if q in qubit_map:
+                    # Idle decay since the previous operation on each
+                    # operand; a qubit's clock starts at its first
+                    # operation (paper §9.1).
+                    if op.start > last_end[q] + 1e-9:
+                        gamma, p_z = decay_probabilities(
+                            op.start - last_end[q], cal.t1[q], cal.t2[q]
+                        )
+                        events.append(NoisyOp.decay(qubit_map[q], gamma, p_z))
+                elif free_slots:
+                    qubit_map[q] = free_slots.pop()
+                    events.append(NoisyOp.decay(qubit_map[q], 1.0, 0.0))
+                else:
+                    qubit_map[q] = num_slots
+                    num_slots += 1
                 last_end[q] = op.end
             if instr.is_measure:
                 measures.append((instr.clbit, instr.qubits[0]))
-                continue
-            if instr.name == "delay":
-                continue
-            events.append(
-                NoisyOp.gate(
-                    instr.name,
-                    tuple(qubit_map[q] for q in instr.qubits),
-                    instr.params,
-                    error_prob=rates.get(op.index, 0.0),
+            elif instr.name != "delay":
+                events.append(
+                    NoisyOp.gate(
+                        instr.name,
+                        tuple(qubit_map[q] for q in instr.qubits),
+                        instr.params,
+                        error_prob=rates.get(op.index, 0.0),
+                    )
                 )
-            )
+            for q in instr.qubits:
+                if last_op[q] == pos and q not in measured:
+                    free_slots.append(qubit_map[q])
         measures.sort()
         return events, qubit_map, measures
 
@@ -236,11 +262,11 @@ class NoisyBackend:
             raise ValueError("schedule has no measurements")
         events, qubit_map, measures = self.lower(schedule)
         measured_device_qubits = tuple(q for _, q in measures)
-        measured_sim_qubits = [qubit_map[q] for q in measured_device_qubits]
+        measured_slots = [qubit_map[q] for q in measured_device_qubits]
 
         with obs_span("backend.run_schedule") as record:
             probs = exact_output_distribution(
-                events, len(qubit_map), measured_sim_qubits
+                events, len(set(qubit_map.values())), measured_slots
             )
         registry = get_registry()
         registry.inc("backend.runs")
@@ -248,10 +274,12 @@ class NoisyBackend:
 
         if readout_error:
             cal = self.device.calibration(self.day)
-            errs = tuple(cal.readout_error[q] for q in qubit_map)
-            probs = ReadoutModel(errs, errs).restrict(
-                measured_sim_qubits
-            ).apply_to_distribution(probs, range(len(measured_sim_qubits)))
+            # Keyed by device qubit: slots are shared, so a slot's readout
+            # error is not well defined.
+            errs = tuple(cal.readout_error[q] for q in measured_device_qubits)
+            probs = ReadoutModel(errs, errs).apply_to_distribution(
+                probs, range(len(errs))
+            )
         seed_val = seed if seed is not None else self._seed
         counts = distribution_to_counts(probs, shots,
                                         np.random.default_rng(seed_val))

@@ -15,30 +15,51 @@ Three timing policies appear in the paper (Table 1):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.dag import CircuitDag
+from repro.circuit.gates import Instruction
 from repro.device.calibration import GateDurations
 from repro.transpiler.schedule import Schedule
 
 
-def asap_schedule(circuit: QuantumCircuit, durations: GateDurations,
-                  dag: Optional[CircuitDag] = None) -> Schedule:
-    """As-soon-as-possible schedule respecting the dependency DAG."""
-    dag = dag or CircuitDag(circuit)
+def _wires(instr: Instruction) -> Tuple[int, ...]:
+    """The wires an instruction orders on: its qubits, then its clbit
+    (keyed ``-1 - clbit`` so the two kinds never collide)."""
+    if instr.clbit is None:
+        return instr.qubits
+    return instr.qubits + (-1 - instr.clbit,)
+
+
+def _asap_starts(circuit: QuantumCircuit,
+                 durations: Sequence[float]) -> List[float]:
+    """ASAP start times in one program-order pass.
+
+    An instruction's dependency predecessors are exactly the last earlier
+    instruction on each of its wires (the edges of the dependency DAG in
+    :mod:`repro.circuit.dag`), so it starts at the latest end among them,
+    read from a per-wire map of the last writer's end.
+    """
     start = [0.0] * len(circuit)
-    for idx in dag.topological_order():
-        preds = dag.predecessors(idx)
-        if preds:
-            start[idx] = max(
-                start[p] + durations.of(circuit[p]) for p in preds
-            )
-    return Schedule(circuit, durations, start)
+    wire_end: Dict[int, float] = {}
+    for idx, instr in enumerate(circuit):
+        wires = _wires(instr)
+        ends = [wire_end[w] for w in wires if w in wire_end]
+        if ends:
+            start[idx] = max(ends)
+        end = start[idx] + durations[idx]
+        for w in wires:
+            wire_end[w] = end
+    return start
+
+
+def asap_schedule(circuit: QuantumCircuit, durations: GateDurations) -> Schedule:
+    """As-soon-as-possible schedule respecting the dependency DAG."""
+    return Schedule(circuit, durations,
+                    _asap_starts(circuit, [durations.of(i) for i in circuit]))
 
 
 def alap_schedule(circuit: QuantumCircuit, durations: GateDurations,
-                  dag: Optional[CircuitDag] = None,
                   align_measurements: bool = True) -> Schedule:
     """As-late-as-possible (right-aligned) schedule.
 
@@ -46,36 +67,41 @@ def alap_schedule(circuit: QuantumCircuit, durations: GateDurations,
     start simultaneously at the common readout time, and every other gate is
     pushed right against its earliest successor.  The overall makespan is
     the ASAP makespan — right alignment never stretches the program.
+
+    The pass runs backwards over program order: an instruction's dependency
+    successors are exactly the next later instruction on each of its wires,
+    read from a per-wire map of the next reader's start.
     """
-    dag = dag or CircuitDag(circuit)
-    asap = asap_schedule(circuit, durations, dag)
+    dur = [durations.of(instr) for instr in circuit]
+    asap = _asap_starts(circuit, dur)
 
     measure_indices = [i for i, ins in enumerate(circuit) if ins.is_measure]
     if align_measurements and measure_indices:
-        readout_start = max(asap[i].start for i in measure_indices)
+        readout_start = max(asap[i] for i in measure_indices)
         horizon = readout_start
     else:
         readout_start = None
-        horizon = asap.makespan()
+        horizon = max((s + d for s, d in zip(asap, dur)), default=0.0)
 
     start = [0.0] * len(circuit)
-    for idx in reversed(dag.topological_order()):
+    wire_start: Dict[int, float] = {}
+    for idx in reversed(range(len(circuit))):
         instr = circuit[idx]
-        dur = durations.of(instr)
+        wires = _wires(instr)
         if instr.is_measure and readout_start is not None:
             start[idx] = readout_start
-            continue
-        succs = dag.successors(idx)
-        if succs:
-            start[idx] = min(start[s] for s in succs) - dur
         else:
-            start[idx] = horizon - dur
+            nexts = [wire_start[w] for w in wires if w in wire_start]
+            start[idx] = (min(nexts) if nexts else horizon) - dur[idx]
+        for w in wires:
+            wire_start[w] = start[idx]
     # Barriers may land at negative times when a barrier has no
     # predecessors; clamp directives (they are zero-duration markers).
     for idx, instr in enumerate(circuit):
         if instr.is_directive and start[idx] < 0.0:
             start[idx] = 0.0
-    shift = -min(start) if min(start) < 0.0 else 0.0
+    earliest = min(start, default=0.0)
+    shift = -earliest if earliest < 0.0 else 0.0
     return Schedule(circuit, durations, [s + shift for s in start])
 
 

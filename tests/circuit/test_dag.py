@@ -1,5 +1,6 @@
 """Unit and property tests for the dependency DAG."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,8 @@ def test_topological_order_is_always_valid(seed):
     circ = random_circuit(rng, 4, 25, with_barriers=True)
     dag = CircuitDag(circ)
     assert dag.validate_order(dag.topological_order())
+    assert dag.topological_order() == list(
+        nx.lexicographical_topological_sort(dag.graph))
 
 
 @settings(max_examples=30, deadline=None)

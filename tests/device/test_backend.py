@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.device.backend import NoisyBackend
 from repro.device.topology import normalize_edge
-from repro.sim.density import MAX_QUBITS
+from repro.sim.channels import ReadoutModel, decay_probabilities
+from repro.sim.density import MAX_QUBITS, NoisyOp, exact_output_distribution
+from repro.transpiler.scheduling import asap_schedule
 
 
 @pytest.fixture()
@@ -137,18 +141,36 @@ class TestRun:
         with pytest.raises(ValueError, match="measure"):
             backend.run(QuantumCircuit(20).h(0))
 
-    @pytest.mark.parametrize("active", [MAX_QUBITS, MAX_QUBITS + 1])
-    def test_active_qubit_cap(self, backend, active):
-        circ = QuantumCircuit(20, 1)
-        for q in range(active):
+    @pytest.mark.parametrize("live", [MAX_QUBITS, MAX_QUBITS + 1])
+    def test_active_qubit_cap(self, backend, live):
+        """The cap bounds simultaneously live qubits: measured qubits stay
+        live to the end, so ``live`` measured qubits need ``live`` slots."""
+        circ = QuantumCircuit(20, live)
+        for q in range(live):
             circ.x(q)
-        circ.measure(0, 0)
-        if active > MAX_QUBITS:
+        for q in range(live):
+            circ.measure(q, q)
+        if live > MAX_QUBITS:
             with pytest.raises(ValueError, match="beyond 10 qubits"):
                 backend.run(circ, shots=16)
         else:
             result = backend.run(circ, shots=16)
             assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_finished_qubits_do_not_count_toward_cap(self, backend,
+                                                     poughkeepsie):
+        """11 active qubits, of which only the measured one and one
+        finished qubit at a time are live: two slots, exactly right."""
+        circ = QuantumCircuit(20, 1)
+        for q in range(MAX_QUBITS + 1):
+            circ.x(q)
+        circ.measure(0, 0)
+        _, qubit_map, _ = backend.lower(backend.schedule_of(circ))
+        assert len(set(qubit_map.values())) == 2
+        result = backend.run(circ, shots=16, readout_error=False)
+        p = poughkeepsie.calibration().single_qubit_error[0]
+        assert result.probabilities[1] == pytest.approx(1.0 - 2.0 * p / 3.0,
+                                                        abs=1e-12)
 
     def test_counts_and_probabilities(self, backend):
         circ = QuantumCircuit(20, 1).x(3)
@@ -199,3 +221,141 @@ class TestRun:
                             readout_error=False).probabilities
         # ideal output is |00>; crosstalk reduces its probability
         assert p_ser[0] > p_par[0] + 0.02
+
+
+# ----------------------------------------------------------------------
+# Slot lowering against the reference it replaced: one simulator qubit per
+# active device qubit, held for the whole run.
+# ----------------------------------------------------------------------
+def reference_probabilities(backend, schedule, readout_error):
+    cal = backend.device.calibration(backend.day)
+    active = schedule.circuit.active_qubits()
+    index = {q: i for i, q in enumerate(active)}
+    rates = backend.gate_error_rates(schedule)
+    ordered = sorted((op for op in schedule if not op.instruction.is_barrier),
+                     key=lambda op: (op.start, op.index))
+    last_end, events, measures = {}, [], []
+    for op in ordered:
+        instr = op.instruction
+        for q in instr.qubits:
+            if q in last_end and op.start > last_end[q] + 1e-9:
+                gamma, p_z = decay_probabilities(op.start - last_end[q],
+                                                 cal.t1[q], cal.t2[q])
+                events.append(NoisyOp.decay(index[q], gamma, p_z))
+            last_end[q] = op.end
+        if instr.is_measure:
+            measures.append((instr.clbit, instr.qubits[0]))
+        elif instr.name != "delay":
+            events.append(NoisyOp.gate(
+                instr.name, tuple(index[q] for q in instr.qubits),
+                instr.params, error_prob=rates.get(op.index, 0.0)))
+    measured = [index[q] for _, q in sorted(measures)]
+    readout = None
+    if readout_error:
+        errs = tuple(cal.readout_error[q] for q in active)
+        readout = ReadoutModel(errs, errs)
+    return exact_output_distribution(events, len(active), measured, readout)
+
+
+def peak_live_qubits(schedule):
+    """Most qubits live at one step of the time-ordered walk: from a
+    qubit's first operation to its last, or to the end once measured."""
+    ordered = sorted((op for op in schedule if not op.instruction.is_barrier),
+                     key=lambda op: (op.start, op.index))
+    first, last = {}, {}
+    for pos, op in enumerate(ordered):
+        for q in op.instruction.qubits:
+            first.setdefault(q, pos)
+            last[q] = len(ordered) if op.instruction.is_measure else pos
+    return max(sum(first[q] <= pos <= last[q] for q in first)
+               for pos in range(len(ordered)))
+
+
+#: A Poughkeepsie path: SWAP-like chains along it finish their early qubits.
+PATH = (0, 1, 2, 3, 4, 9, 8, 7)
+
+
+def early_finishing_circuit(rng):
+    """Random gates along :data:`PATH`, drifting down it so early qubits
+    finish; one to three of the later qubits are measured."""
+    circ = QuantumCircuit(20, 3)
+    low = 0
+    for _ in range(int(rng.integers(6, 30))):
+        low = min(low + int(rng.random() < 0.3), len(PATH) - 2)
+        i = int(rng.integers(low, min(low + 3, len(PATH) - 1)))
+        r = rng.random()
+        if r < 0.1:
+            circ.barrier(PATH[i], PATH[i + 1])
+        elif r < 0.2:
+            circ.add("delay", PATH[i], params=(float(rng.uniform(50, 600)),))
+        elif r < 0.35:
+            circ.rz(float(rng.uniform(0, 2 * np.pi)), PATH[i])
+        elif r < 0.55:
+            circ.sx(PATH[i])
+        else:
+            circ.cx(PATH[i], PATH[i + 1])
+    measured = rng.choice(np.arange(low, len(PATH)),
+                          size=min(int(rng.integers(1, 4)), len(PATH) - low),
+                          replace=False)
+    for clbit, i in enumerate(measured):
+        circ.measure(PATH[int(i)], clbit)
+    return circ
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_slot_lowering_matches_one_slot_per_active_qubit(poughkeepsie, seed):
+    backend = NoisyBackend(poughkeepsie, seed=5)
+    circ = early_finishing_circuit(np.random.default_rng(seed))
+    durations = backend.device.calibration().durations
+    for schedule in (backend.schedule_of(circ), asap_schedule(circ, durations)):
+        _, qubit_map, _ = backend.lower(schedule)
+        assert len(set(qubit_map.values())) == peak_live_qubits(schedule)
+        for readout_error in (False, True):
+            probs = backend.run_schedule(schedule, shots=8,
+                                         readout_error=readout_error)
+            reference = reference_probabilities(backend, schedule,
+                                                readout_error)
+            assert np.max(np.abs(probs.probabilities - reference)) < 1e-12
+
+
+class TestSlotLowering:
+    def chain(self):
+        """A CNOT chain 0-1-2-3 measuring only qubit 3."""
+        circ = QuantumCircuit(20, 1).x(0)
+        circ.cx(0, 1).cx(1, 2).cx(2, 3)
+        circ.measure(3, 0)
+        return circ
+
+    def test_finished_qubits_free_their_slots(self, backend):
+        sched = backend.schedule_of(self.chain())
+        _, qubit_map, _ = backend.lower(sched)
+        assert peak_live_qubits(sched) == 2
+        assert len(set(qubit_map.values())) == 2
+        assert qubit_map[2] == qubit_map[0]
+        assert qubit_map[3] == qubit_map[1]
+
+    def test_reused_slot_is_reset_before_first_gate(self, backend):
+        events, qubit_map, _ = backend.lower(
+            backend.schedule_of(self.chain()))
+        assert qubit_map == {0: 0, 1: 1, 2: 0, 3: 1}
+        # Contiguous chain: no idle decay, only the two resets on reuse.
+        assert [(e.kind, e.name, e.qubits, e.gamma, e.p_z) for e in events] == [
+            ("gate", "x", (0,), 0.0, 0.0),
+            ("gate", "cx", (0, 1), 0.0, 0.0),
+            ("decay", "", (0,), 1.0, 0.0),   # qubit 2 takes qubit 0's slot
+            ("gate", "cx", (1, 0), 0.0, 0.0),
+            ("decay", "", (1,), 1.0, 0.0),   # qubit 3 takes qubit 1's slot
+            ("gate", "cx", (0, 1), 0.0, 0.0),
+        ]
+
+    def test_measured_qubits_keep_their_slots(self, backend):
+        circ = QuantumCircuit(20, 3).cx(0, 1).cx(0, 5)
+        circ.measure(0, 0)
+        circ.measure(5, 1)
+        _, qubit_map, _ = backend.lower(backend.schedule_of(circ))
+        # qubit 1 finishes before 5 starts; 0 is measured and keeps its slot.
+        assert qubit_map[5] == qubit_map[1] != qubit_map[0]
+        circ.measure(1, 2)
+        _, qubit_map, _ = backend.lower(backend.schedule_of(circ))
+        assert sorted(qubit_map.values()) == [0, 1, 2]

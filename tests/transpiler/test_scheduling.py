@@ -189,3 +189,105 @@ def test_alap_never_earlier_than_asap(seed):
         if a.instruction.is_directive:
             continue
         assert l.start >= a.start - 1e-6
+
+
+# ----------------------------------------------------------------------
+# Oracle: the DAG-based passes the program-order ones replaced.  Start
+# times must match them bitwise, not within a tolerance.
+# ----------------------------------------------------------------------
+def reference_asap(circuit, durations):
+    dag = CircuitDag(circuit)
+    start = [0.0] * len(circuit)
+    for idx in dag.topological_order():
+        preds = dag.predecessors(idx)
+        if preds:
+            start[idx] = max(
+                start[p] + durations.of(circuit[p]) for p in preds
+            )
+    return start
+
+
+def reference_alap(circuit, durations, align_measurements=True):
+    dag = CircuitDag(circuit)
+    asap = reference_asap(circuit, durations)
+    measure_indices = [i for i, ins in enumerate(circuit) if ins.is_measure]
+    if align_measurements and measure_indices:
+        readout_start = max(asap[i] for i in measure_indices)
+        horizon = readout_start
+    else:
+        readout_start = None
+        horizon = max(s + durations.of(ins) for s, ins in zip(asap, circuit))
+    start = [0.0] * len(circuit)
+    for idx in reversed(dag.topological_order()):
+        instr = circuit[idx]
+        dur = durations.of(instr)
+        if instr.is_measure and readout_start is not None:
+            start[idx] = readout_start
+            continue
+        succs = dag.successors(idx)
+        if succs:
+            start[idx] = min(start[s] for s in succs) - dur
+        else:
+            start[idx] = horizon - dur
+    for idx, instr in enumerate(circuit):
+        if instr.is_directive and start[idx] < 0.0:
+            start[idx] = 0.0
+    shift = -min(start) if min(start) < 0.0 else 0.0
+    return [s + shift for s in start]
+
+
+#: Durations whose sums round, so a changed operation order would show.
+ODD_DUR = GateDurations(single_qubit=35.5555555555, measurement=3546.6666667,
+                        cx={(0, 1): 241.77777777, (1, 2): 412.3333333,
+                            (2, 3): 305.1111111}, default_cx=373.7777777)
+
+
+def oracle_circuit(rng, num_qubits, num_gates, measures):
+    """Gates, delays and barriers; ``measures`` measure ops into at most
+    two clbits, so several land on one clbit; 0 gives no measurement."""
+    circ = QuantumCircuit(num_qubits, 2)
+    for _ in range(num_gates):
+        r = rng.random()
+        if r < 0.15:
+            size = int(rng.integers(1, num_qubits + 1))
+            qubits = rng.choice(num_qubits, size=size, replace=False)
+            circ.barrier(*(int(q) for q in qubits))
+        elif r < 0.25:
+            circ.add("delay", int(rng.integers(num_qubits)),
+                     params=(float(rng.uniform(10.0, 900.0)),))
+        elif r < 0.55:
+            circ.h(int(rng.integers(num_qubits)))
+        elif r < 0.65 and measures:
+            circ.measure(int(rng.integers(num_qubits)),
+                         int(rng.integers(2)))
+        else:
+            a, b = rng.choice(num_qubits, 2, replace=False)
+            circ.cx(int(a), int(b))
+    for _ in range(measures):
+        circ.measure(int(rng.integers(num_qubits)), int(rng.integers(2)))
+    return circ
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 1_000_000), num_gates=st.integers(1, 30),
+       measures=st.integers(0, 4))
+def test_program_order_passes_match_dag_oracle_bitwise(seed, num_gates,
+                                                       measures):
+    rng = np.random.default_rng(seed)
+    circ = oracle_circuit(rng, 4, num_gates, measures)
+    for durations in (DUR, ODD_DUR):
+        assert list(asap_schedule(circ, durations).start_times) == \
+            reference_asap(circ, durations)
+        for align in (True, False):
+            assert list(alap_schedule(circ, durations, align_measurements=align)
+                        .start_times) == reference_alap(circ, durations, align)
+        assert list(hardware_schedule(circ, durations).start_times) == \
+            reference_alap(circ, durations, True)
+
+
+def test_empty_circuit_gives_empty_schedules():
+    circ = QuantumCircuit(3, 1)
+    for scheduler in (asap_schedule, alap_schedule, hardware_schedule):
+        sched = scheduler(circ, DUR)
+        assert len(sched) == 0
+        assert sched.makespan() == 0.0
