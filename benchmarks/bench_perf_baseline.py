@@ -19,9 +19,9 @@ Workloads:
   behind :class:`~repro.device.backend.NoisyBackend` @ 1 worker vs N
   workers: repeated runs of one scheduled SWAP circuit, and repeated
   9-setting tomography of another.  Both legs ship the same code, so the
-  speedup reads ~1 (the backend no longer fans out; tomography's pool
-  falls back to serial for work this small) and the history gate
-  watches their seconds;
+  speedup reads ~1 (neither the backend nor tomography fans out: both
+  legs run one in-process batch job per unit, and ``workers`` is
+  accepted and ignored) and the history gate watches their seconds;
 * live_overhead — the shipped campaign with the live telemetry plane
   off (``serial_seconds``) vs on (``parallel_seconds``), so the
   ``--check`` budget doubles as the live-plane overhead gate.
@@ -226,8 +226,9 @@ def bench_exact_tomography(workers: int, fast: bool) -> dict:
         "speedup": serial_seconds / parallel_seconds,
         "tomographies": units,
         "deterministic_across_worker_counts": single == pooled,
-        "notes": "exact density-matrix backend, serial = 1 worker, "
-                 "parallel = N workers (same code); units interleaved, "
+        "notes": "exact density-matrix backend, 9 settings as one "
+                 "in-process batch job; serial = 1 worker, parallel = N "
+                 "workers (same code, workers ignored); units interleaved, "
                  "leg = units x median unit",
     }
 

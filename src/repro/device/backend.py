@@ -22,7 +22,7 @@ experiments, which run through :meth:`NoisyBackend.schedule_of` +
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,12 +31,8 @@ from repro.device.device import Device
 from repro.device.topology import normalize_edge
 from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
-from repro.sim.channels import (
-    ReadoutModel,
-    decay_probabilities,
-    distribution_to_counts,
-)
-from repro.sim.density import NoisyOp, exact_output_distribution
+from repro.sim.channels import decay_probabilities, distribution_to_counts
+from repro.sim.density import NoisyOp, exact_output_distributions
 from repro.transpiler.schedule import Schedule
 from repro.transpiler.scheduling import hardware_schedule
 
@@ -71,9 +67,9 @@ class NoisyBackend:
 
     ``faults`` injects simulated job rejections/timeouts at the
     ``"backend.job"`` fault site (raised before any simulation work, like
-    a queued hardware job dying); ``retry`` makes :meth:`run` and
-    :meth:`run_schedule` resubmit such transient failures with
-    deterministic backoff instead of surfacing them.
+    a queued hardware job dying); ``retry`` makes :meth:`run`,
+    :meth:`run_schedule` and :meth:`run_batch` resubmit such transient
+    failures with deterministic backoff instead of surfacing them.
 
     ``workers`` is accepted and ignored: it no longer affects execution,
     since every run evolves one exact density matrix in the calling
@@ -144,6 +140,9 @@ class NoisyBackend:
         discards the finished qubit without touching the others.  Greedy
         assignment in start order colours the live intervals optimally, so
         the slot count is the peak number of simultaneously live qubits.
+
+        A qubit measured twice raises ``ValueError``: its outcome would
+        need one slot read into two clbits.
         """
         cal = self.device.calibration(self.day)
         rates = self.gate_error_rates(schedule)
@@ -152,11 +151,20 @@ class NoisyBackend:
             (op for op in schedule if not op.instruction.is_barrier),
             key=lambda op: (op.start, op.index),
         )
-        measured = {op.instruction.qubits[0] for op in ordered
-                    if op.instruction.is_measure}
+        measured: Dict[int, int] = {}
         last_op: Dict[int, int] = {}
         for pos, op in enumerate(ordered):
-            for q in op.instruction.qubits:
+            instr = op.instruction
+            if instr.is_measure:
+                q = instr.qubits[0]
+                if q in measured:
+                    raise ValueError(
+                        f"qubit {q} is measured twice, into clbits "
+                        f"{measured[q]} and {instr.clbit}; measure each "
+                        f"qubit once"
+                    )
+                measured[q] = instr.clbit
+            for q in instr.qubits:
                 last_op[q] = pos
 
         qubit_map: Dict[int, int] = {}
@@ -209,14 +217,29 @@ class NoisyBackend:
 
         The circuit is timed by the hardware scheduler (right-aligned,
         barrier-respecting) — the circuit-level ISA path.  ``seed``
-        (default: the backend's own) drives the shot sampling.
+        (default: the backend's own) drives the shot sampling.  This is
+        a one-circuit :meth:`run_batch`.
         """
-        if not any(instr.is_measure for instr in circuit):
-            raise ValueError("circuit has no measurements")
-        return self.run_schedule(
-            self.schedule_of(circuit), shots=shots,
-            readout_error=readout_error, seed=seed,
-        )
+        return self.run_batch([circuit], shots=shots,
+                              readout_error=readout_error, seed=seed)[0]
+
+    def run_batch(self, circuits: Sequence[QuantumCircuit],
+                  shots: int = 1024, readout_error: bool = True,
+                  seed: Optional[int] = None) -> List[ExecutionResult]:
+        """Execute several circuits as one job; results in input order.
+
+        Each circuit is timed by the hardware scheduler and lowered on its
+        own; the batch then evolves through
+        :func:`~repro.sim.density.exact_output_distributions`, which
+        evolves the event prefix the circuits share once.  Every result
+        is bitwise equal to running its circuit alone, and each circuit's
+        counts come from a fresh generator seeded by ``seed``.
+        """
+        for circuit in circuits:
+            if not any(instr.is_measure for instr in circuit):
+                raise ValueError("circuit has no measurements")
+        return self._submit([self.schedule_of(c) for c in circuits],
+                            shots, readout_error, seed)
 
     def run_schedule(self, schedule: Schedule, shots: int = 1024,
                      readout_error: bool = True,
@@ -227,66 +250,73 @@ class NoisyBackend:
         footnote 2); this entry point models it: the caller's start times
         are executed verbatim, with no right-alignment or barrier
         re-scheduling.  Error rates still derive from the schedule's actual
-        overlaps.
+        overlaps.  Otherwise it is a one-schedule job on the
+        :meth:`run_batch` path.
+        """
+        if not any(t.instruction.is_measure for t in schedule):
+            raise ValueError("schedule has no measurements")
+        return self._submit([schedule], shots, readout_error, seed)[0]
 
-        The lowered event stream runs through the exact noisy channel
-        (:func:`~repro.sim.density.exact_output_distribution`), so
+    def _submit(self, schedules: Sequence[Schedule], shots: int,
+                readout_error: bool,
+                seed: Optional[int]) -> List[ExecutionResult]:
+        """Lower ``schedules`` and run them as one job.
+
+        The lowered event streams run through the exact noisy channel, so
         ``probabilities`` carry no sampling noise; only the counts are
         sampled, from ``seed``.
 
         Job submission is the ``"backend.job"`` fault site: an injected
         rejection or timeout raises
         :class:`~repro.resilience.errors.BackendJobError` before any
-        simulation work, and a ``retry`` policy resubmits it.  The result
-        is identical to an unfaulted run — the sampling seed derives from
-        the job's stable identity, never from the attempt number.
+        simulation work, and a ``retry`` policy resubmits the whole job.
+        The result is identical to an unfaulted run — the sampling seed
+        derives from the job's stable identity, never from the attempt
+        number.
         """
+        lowered = [self.lower(schedule) for schedule in schedules]
+        measured = [tuple(q for _, q in measures)
+                    for _, _, measures in lowered]
+        streams = [
+            (events, len(set(qubit_map.values())),
+             [qubit_map[q] for q in qubits])
+            for (events, qubit_map, _), qubits in zip(lowered, measured)
+        ]
         job_key = (self._seed, self.day, shots, seed)
 
-        def submit() -> ExecutionResult:
+        def job() -> List[ExecutionResult]:
             if self.faults is not None:
                 self.faults.check("backend.job", job_key)
-            return self._run_schedule_once(
-                schedule, shots=shots, readout_error=readout_error,
-                seed=seed,
-            )
+            with obs_span("backend.run_schedule") as record:
+                distributions = exact_output_distributions(streams)
+            registry = get_registry()
+            registry.inc("backend.runs", len(streams))
+            registry.observe("backend.run_seconds", record.seconds)
 
-        if self.retry is not None:
-            return self.retry.call(submit, site="backend.job", key=job_key)
-        return submit()
-
-    def _run_schedule_once(self, schedule: Schedule, shots: int,
-                           readout_error: bool,
-                           seed: Optional[int]) -> ExecutionResult:
-        if not any(t.instruction.is_measure for t in schedule):
-            raise ValueError("schedule has no measurements")
-        events, qubit_map, measures = self.lower(schedule)
-        measured_device_qubits = tuple(q for _, q in measures)
-        measured_slots = [qubit_map[q] for q in measured_device_qubits]
-
-        with obs_span("backend.run_schedule") as record:
-            probs = exact_output_distribution(
-                events, len(set(qubit_map.values())), measured_slots
-            )
-        registry = get_registry()
-        registry.inc("backend.runs")
-        registry.observe("backend.run_seconds", record.seconds)
-
-        if readout_error:
-            cal = self.device.calibration(self.day)
             # Keyed by device qubit: slots are shared, so a slot's readout
             # error is not well defined.
-            errs = tuple(cal.readout_error[q] for q in measured_device_qubits)
-            probs = ReadoutModel(errs, errs).apply_to_distribution(
-                probs, range(len(errs))
-            )
-        seed_val = seed if seed is not None else self._seed
-        counts = distribution_to_counts(probs, shots,
-                                        np.random.default_rng(seed_val))
-        return ExecutionResult(
-            counts=counts,
-            probabilities=probs,
-            schedule=schedule,
-            measured_qubits=measured_device_qubits,
-            shots=shots,
-        )
+            readout = (self.device.readout_model(self.day)
+                       if readout_error else None)
+            confusion: Dict[Tuple[int, ...], np.ndarray] = {}
+            seed_val = seed if seed is not None else self._seed
+            results = []
+            for schedule, qubits, probs in zip(schedules, measured,
+                                               distributions):
+                if readout is not None:
+                    if qubits not in confusion:
+                        confusion[qubits] = readout.confusion_matrix(qubits)
+                    probs = confusion[qubits] @ probs
+                counts = distribution_to_counts(
+                    probs, shots, np.random.default_rng(seed_val))
+                results.append(ExecutionResult(
+                    counts=counts,
+                    probabilities=probs,
+                    schedule=schedule,
+                    measured_qubits=qubits,
+                    shots=shots,
+                ))
+            return results
+
+        if self.retry is not None:
+            return self.retry.call(job, site="backend.job", key=job_key)
+        return job()

@@ -14,6 +14,7 @@ from repro.experiments.common import (
     characterized_report,
     prepare_circuit,
     run_distribution,
+    run_distributions,
     swap_error_rate,
 )
 
@@ -24,5 +25,6 @@ __all__ = [
     "characterized_report",
     "prepare_circuit",
     "run_distribution",
+    "run_distributions",
     "swap_error_rate",
 ]

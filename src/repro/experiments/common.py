@@ -9,7 +9,7 @@ policies, execute it on the noisy backend, mitigate readout, and score.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,9 +23,15 @@ from repro.core.characterization.report import CrosstalkReport
 from repro.device.backend import NoisyBackend
 from repro.device.device import Device
 from repro.metrics.readout import mitigate_distribution
-from repro.metrics.tomography import bell_state_vector
+from repro.metrics.tomography import (
+    _basis_rotation,
+    bell_state_vector,
+    density_from_expectations,
+    expectations_from_distributions,
+    state_fidelity,
+    tomography_settings,
+)
 from repro.obs.trace import span
-from repro.parallel import ParallelEngine
 from repro.pipeline.cache import ResultCache, campaign_cache_key
 from repro.pipeline.context import PassContext
 from repro.pipeline.passes import scheduling_pass
@@ -53,9 +59,8 @@ class ExperimentConfig:
     #: scheduler differences are not buried in shot noise.
     use_sampled_counts: bool = False
     seed: int = 7
-    #: Worker processes for the tomography fan-out (``None`` defers to
-    #: ``REPRO_WORKERS``, falling back to serial).  Results are identical
-    #: for every worker count.
+    #: Accepted and ignored: every execution, tomography included, runs in
+    #: the calling process.
     workers: Optional[int] = None
 
 
@@ -138,23 +143,38 @@ def prepare_circuit(scheduler: str, circuit: QuantumCircuit, device: Device,
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
+def run_distributions(backend: NoisyBackend,
+                      circuits: Sequence[QuantumCircuit],
+                      config: ExperimentConfig) -> List[np.ndarray]:
+    """Execute ``circuits`` as one backend job and return each one's
+    (optionally mitigated) clbit distribution, in input order."""
+    results = backend.run_batch(circuits, shots=config.shots,
+                                readout_error=True, seed=config.seed)
+    readout = (backend.device.readout_model(backend.day)
+               if config.mitigate_readout else None)
+    confusion: Dict[Tuple[int, ...], np.ndarray] = {}
+    dists = []
+    for result in results:
+        if config.use_sampled_counts:
+            total = sum(result.counts.values())
+            probs = np.zeros(len(result.probabilities))
+            for bits, c in result.counts.items():
+                probs[int(bits, 2)] = c / total
+        else:
+            probs = result.probabilities
+        if readout is not None:
+            qubits = result.measured_qubits
+            if qubits not in confusion:
+                confusion[qubits] = readout.confusion_matrix(qubits)
+            probs = mitigate_distribution(probs, confusion[qubits])
+        dists.append(probs)
+    return dists
+
+
 def run_distribution(backend: NoisyBackend, circuit: QuantumCircuit,
                      config: ExperimentConfig) -> np.ndarray:
     """Execute and return the (optionally mitigated) clbit distribution."""
-    result = backend.run(circuit, shots=config.shots, readout_error=True,
-                         seed=config.seed)
-    if config.use_sampled_counts:
-        total = sum(result.counts.values())
-        probs = np.zeros(len(result.probabilities))
-        for bits, c in result.counts.items():
-            probs[int(bits, 2)] = c / total
-    else:
-        probs = result.probabilities
-    if config.mitigate_readout:
-        readout = backend.device.readout_model(backend.day)
-        confusion = readout.confusion_matrix(result.measured_qubits)
-        probs = mitigate_distribution(probs, confusion)
-    return probs
+    return run_distributions(backend, [circuit], config)[0]
 
 
 def distribution_as_dict(probs: np.ndarray) -> Dict[str, float]:
@@ -186,24 +206,6 @@ def _insert_rotations_before_measures(circuit: QuantumCircuit,
     return out
 
 
-def _tomography_setting_task(context, setting):
-    """Execute one tomography basis setting (module-level for pickling).
-
-    Each setting's backend run is seeded from ``config.seed`` alone, so the
-    measured distribution does not depend on which process (or in which
-    order) the setting runs.
-    """
-    from repro.metrics.tomography import _basis_rotation
-
-    backend, prepared, qubit_pair, config = context
-    qa, qb = qubit_pair
-    rot = QuantumCircuit(backend.device.num_qubits)
-    _basis_rotation(rot, qa, setting[0])
-    _basis_rotation(rot, qb, setting[1])
-    variant = _insert_rotations_before_measures(prepared, rot.instructions)
-    return run_distribution(backend, variant, config)
-
-
 def tomography_error(backend: NoisyBackend, prepared: QuantumCircuit,
                      qubit_pair: Tuple[int, int], config: ExperimentConfig,
                      target: Optional[np.ndarray] = None,
@@ -212,28 +214,23 @@ def tomography_error(backend: NoisyBackend, prepared: QuantumCircuit,
 
     Builds the 9 tomography variants by inserting basis rotations ahead of
     the measurements (the two-qubit structure — and hence any scheduling
-    decisions — are identical across settings), executes each —
-    concurrently when ``workers`` (or ``config.workers``) asks for a pool —
-    and reconstructs the two-qubit state.
+    decisions — are identical across settings), executes them as one
+    backend batch, which evolves their shared event prefix once, and
+    reconstructs the two-qubit state.  ``workers`` is accepted and
+    ignored: the batch runs in the calling process.
     """
-    from repro.metrics.tomography import (
-        density_from_expectations,
-        expectations_from_distributions,
-        state_fidelity,
-        tomography_settings,
-    )
-
-    settings = list(tomography_settings())
-    with span("tomography") as record, ParallelEngine(
-        workers if workers is not None else config.workers,
-        name="tomography",
-    ) as engine:
-        results = engine.map(
-            _tomography_setting_task, settings,
-            context=(backend, prepared, qubit_pair, config),
-        )
-        record.counters.update(engine.counters)
-    dists = dict(zip(settings, results))
+    settings = tomography_settings()
+    qa, qb = qubit_pair
+    with span("tomography"):
+        variants = []
+        for basis_a, basis_b in settings:
+            rot = QuantumCircuit(backend.device.num_qubits)
+            _basis_rotation(rot, qa, basis_a)
+            _basis_rotation(rot, qb, basis_b)
+            variants.append(
+                _insert_rotations_before_measures(prepared, rot.instructions))
+        dists = dict(zip(settings, run_distributions(backend, variants,
+                                                     config)))
 
     rho = density_from_expectations(expectations_from_distributions(dists))
     target = target if target is not None else bell_state_vector()

@@ -1,7 +1,7 @@
 """Process-pool fan-out for embarrassingly parallel work units.
 
-The repository's fan-out loops — SRB characterization experiments and
-tomography settings — are lists of independent tasks.
+The repository's fan-out loop — a characterization campaign's SRB
+experiments — is a list of independent tasks.
 :class:`ParallelEngine` runs such a list either serially (the
 ``workers=1`` fallback) or over a :class:`~concurrent.futures.ProcessPoolExecutor`,
 and reports cost through the same counter namespace the pipeline passes
@@ -34,8 +34,8 @@ Minimum-work serial fallback
 ----------------------------
 
 Process pools only pay off when the work dwarfs the fork/pickle/IPC tax;
-the perf baseline showed small fan-outs (tomography settings) running
-*slower* at 4 workers than serially.  A multi-worker engine therefore
+the perf baseline showed small fan-outs running *slower* at 4 workers
+than serially.  A multi-worker engine therefore
 **probes**: it runs the first task serially, estimates
 the map's total serial cost as ``probe_seconds * len(items)``, and only
 spins up the pool when that estimate clears ``min_parallel_seconds``

@@ -26,7 +26,12 @@ from repro.sim.channels import (
     ReadoutModel,
 )
 from repro.sim.stabilizer import StabilizerSimulator
-from repro.sim.density import DensityMatrix, NoisyOp, exact_output_distribution
+from repro.sim.density import (
+    DensityMatrix,
+    NoisyOp,
+    exact_output_distribution,
+    exact_output_distributions,
+)
 
 __all__ = [
     "gate_unitary",
@@ -42,4 +47,5 @@ __all__ = [
     "StabilizerSimulator",
     "DensityMatrix",
     "exact_output_distribution",
+    "exact_output_distributions",
 ]

@@ -25,6 +25,11 @@ embedded in the full space:
 Memory is ``16 * 4^n`` bytes, so the engine stops at :data:`MAX_QUBITS`
 (16 MiB) — the regime of the paper's application circuits, which activate
 4–8 qubits.
+
+:func:`exact_output_distributions` runs a batch of streams: the event
+prefix they share is evolved once and copied for each stream's own
+suffix.  A tomography's 9 basis settings differ only in the rotations
+just before readout, so most of their events are shared.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,6 +103,16 @@ def _gate_plan(name: str, params: Tuple[float, ...]):
     return matrix, matrix.conj(), _monomial_sources(matrix)
 
 
+def _check_size(num_qubits: int) -> None:
+    if num_qubits <= 0:
+        raise ValueError("need at least one qubit")
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"density-matrix simulation beyond {MAX_QUBITS} qubits "
+            f"is not supported (memory); got {num_qubits}"
+        )
+
+
 class DensityMatrix:
     """Mutable density matrix over ``num_qubits`` qubits (little-endian).
 
@@ -107,17 +122,24 @@ class DensityMatrix:
     """
 
     def __init__(self, num_qubits: int):
-        if num_qubits <= 0:
-            raise ValueError("need at least one qubit")
-        if num_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"density-matrix simulation beyond {MAX_QUBITS} qubits "
-                f"is not supported (memory); got {num_qubits}"
-            )
+        _check_size(num_qubits)
         self.num_qubits = num_qubits
         self._scale = 1.0
         self._rho = np.zeros((2,) * (2 * num_qubits), dtype=complex)
         self._rho[(0,) * (2 * num_qubits)] = 1.0
+
+    def copy(self) -> "DensityMatrix":
+        """An independent copy of this state.
+
+        The tensor keeps its memory layout (``order="K"``), so every later
+        event runs through the same numpy paths as on the original and the
+        two evolve bitwise alike.
+        """
+        out = DensityMatrix.__new__(DensityMatrix)
+        out.num_qubits = self.num_qubits
+        out._scale = self._scale
+        out._rho = self._rho.copy(order="K")
+        return out
 
     # ------------------------------------------------------------------
     @property
@@ -262,6 +284,51 @@ class DensityMatrix:
         return self._scale * float(np.real(np.trace(out.reshape(dim, dim))))
 
 
+#: One event stream to execute: ``(ops, num_qubits, measured_qubits)``.
+Stream = Tuple[Sequence[NoisyOp], int, Sequence[int]]
+
+
+def _shared_prefix(streams: Sequence[Sequence[NoisyOp]]) -> int:
+    """Length of the longest event prefix common to every stream."""
+    shared = min(len(ops) for ops in streams)
+    first = streams[0]
+    for ops in streams[1:]:
+        i = 0
+        while i < shared and ops[i] == first[i]:
+            i += 1
+        shared = i
+    return shared
+
+
+def exact_output_distributions(streams: Sequence[Stream]) -> List[np.ndarray]:
+    """Output distribution of each stream, in input order.
+
+    Streams are grouped by qubit count.  Each group's longest common event
+    prefix is evolved once; every member then runs its own suffix on a
+    copy of that state, and the last member takes the prefix state itself.
+    So at most two states are alive at once, and each distribution is
+    bitwise equal to evolving its stream alone.  Every stream's size is
+    checked before any state is built.
+    """
+    groups: Dict[int, List[int]] = {}
+    for index, (_, num_qubits, _) in enumerate(streams):
+        _check_size(num_qubits)
+        groups.setdefault(num_qubits, []).append(index)
+    out: List[Optional[np.ndarray]] = [None] * len(streams)
+    for num_qubits, members in groups.items():
+        shared = _shared_prefix([streams[i][0] for i in members])
+        prefix = DensityMatrix(num_qubits)
+        for op in streams[members[0]][0][:shared]:
+            prefix.apply_noisy_op(op)
+        for position, index in enumerate(members):
+            ops, _, measured = streams[index]
+            rho = prefix if position == len(members) - 1 else prefix.copy()
+            for op in ops[shared:]:
+                rho.apply_noisy_op(op)
+            out[index] = rho.probabilities(measured)
+    return out
+
+
 def exact_output_distribution(ops: Sequence[NoisyOp], num_qubits: int,
                               measured_qubits: Sequence[int],
                               readout: Optional[ReadoutModel] = None
@@ -271,10 +338,8 @@ def exact_output_distribution(ops: Sequence[NoisyOp], num_qubits: int,
     The result indexes bitstrings little-endian over ``measured_qubits``
     (bit ``k`` of the index = outcome of ``measured_qubits[k]``).
     """
-    rho = DensityMatrix(num_qubits)
-    for op in ops:
-        rho.apply_noisy_op(op)
-    probs = rho.probabilities(measured_qubits)
+    (probs,) = exact_output_distributions([(ops, num_qubits,
+                                            measured_qubits)])
     if readout is not None:
         probs = readout.restrict(measured_qubits).apply_to_distribution(
             probs, range(len(measured_qubits))

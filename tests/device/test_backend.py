@@ -8,8 +8,20 @@ from hypothesis import strategies as st
 from repro.circuit.circuit import QuantumCircuit
 from repro.device.backend import NoisyBackend
 from repro.device.topology import normalize_edge
+from repro.obs.registry import get_registry
+from repro.resilience import (
+    BackendJobError,
+    FaultInjector,
+    FaultPlan,
+    RetryPolicy,
+)
 from repro.sim.channels import ReadoutModel, decay_probabilities
-from repro.sim.density import MAX_QUBITS, NoisyOp, exact_output_distribution
+from repro.sim.density import (
+    MAX_QUBITS,
+    DensityMatrix,
+    NoisyOp,
+    exact_output_distribution,
+)
 from repro.transpiler.scheduling import asap_schedule
 
 
@@ -221,6 +233,99 @@ class TestRun:
                             readout_error=False).probabilities
         # ideal output is |00>; crosstalk reduces its probability
         assert p_ser[0] > p_par[0] + 0.02
+
+
+class TestMeasureTwice:
+    """One qubit read into two clbits is rejected by name, on every path."""
+
+    MESSAGE = r"qubit 3 is measured twice, into clbits 0 and 1"
+
+    def circuit(self):
+        circ = QuantumCircuit(20, 2).h(3)
+        circ.measure(3, 0)
+        circ.measure(3, 1)
+        return circ
+
+    def test_run(self, backend):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            backend.run(self.circuit(), shots=16)
+
+    def test_run_schedule(self, backend):
+        schedule = backend.schedule_of(self.circuit())
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            backend.run_schedule(schedule, shots=16)
+
+    def test_run_batch(self, backend):
+        fine = QuantumCircuit(20, 1).x(2)
+        fine.measure(2, 0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            backend.run_batch([fine, self.circuit()], shots=16)
+
+
+def measured_x(qubit):
+    circ = QuantumCircuit(20, 1).x(qubit)
+    circ.measure(qubit, 0)
+    return circ
+
+
+class TestRunBatch:
+    def batch(self):
+        bell = QuantumCircuit(20, 2).h(0).cx(0, 1)
+        bell.measure(0, 0)
+        bell.measure(1, 1)
+        return [bell, measured_x(3), parallel_pair_circuit(), measured_x(3)]
+
+    def test_equals_one_run_per_circuit(self, backend):
+        batch = backend.run_batch(self.batch(), shots=256, seed=4)
+        alone = [backend.run(c, shots=256, seed=4) for c in self.batch()]
+        assert len(batch) == len(alone)
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got.probabilities, want.probabilities)
+            assert got.counts == want.counts
+            assert got.measured_qubits == want.measured_qubits
+            assert got.schedule.makespan() == want.schedule.makespan()
+
+    def test_counts_circuits_and_times_one_job(self, backend):
+        registry = get_registry()
+        runs = registry.counter("backend.runs").snapshot()
+        jobs = registry.histogram("backend.run_seconds").count
+        backend.run_batch(self.batch(), shots=16)
+        assert registry.counter("backend.runs").snapshot() == runs + 4
+        assert registry.histogram("backend.run_seconds").count == jobs + 1
+
+    def test_every_circuit_must_measure(self, backend):
+        with pytest.raises(ValueError, match="no measurements"):
+            backend.run_batch([measured_x(3), QuantumCircuit(20).h(0)])
+
+    def test_oversized_circuit_fails_before_any_evolution(self, backend,
+                                                          monkeypatch):
+        wide = QuantumCircuit(20, MAX_QUBITS + 1)
+        for q in range(MAX_QUBITS + 1):
+            wide.x(q)
+            wide.measure(q, q)
+        applied = []
+        monkeypatch.setattr(DensityMatrix, "apply_noisy_op",
+                            lambda self, op: applied.append(op))
+        with pytest.raises(ValueError, match="beyond 10 qubits"):
+            backend.run_batch([measured_x(3), wide], shots=16)
+        assert applied == []
+
+    def test_batch_is_one_job_and_retry_resubmits_it(self, poughkeepsie):
+        plan = FaultPlan.single("job_rejection", site="backend.job")
+        faulted = NoisyBackend(poughkeepsie, seed=5,
+                               faults=FaultInjector(plan))
+        with pytest.raises(BackendJobError):
+            faulted.run_batch(self.batch(), shots=64)
+        assert len(faulted.faults.injected) == 1
+
+        injector = FaultInjector(plan)
+        retried = NoisyBackend(poughkeepsie, seed=5, faults=injector,
+                               retry=RetryPolicy.fast(max_attempts=2))
+        got = retried.run_batch(self.batch(), shots=64)
+        assert len(injector.injected) == 1
+        clean = NoisyBackend(poughkeepsie, seed=5).run_batch(self.batch(),
+                                                             shots=64)
+        assert [r.counts for r in got] == [r.counts for r in clean]
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,24 @@ import pytest
 from repro.circuit.circuit import QuantumCircuit
 from repro.device.backend import NoisyBackend
 from repro.experiments.common import (
+    SCHEDULERS,
     ExperimentConfig,
+    _insert_rotations_before_measures,
     distribution_as_dict,
     ground_truth_report,
     prepare_circuit,
     run_distribution,
+    run_distributions,
     swap_error_rate,
+    tomography_error,
+)
+from repro.metrics.tomography import (
+    _basis_rotation,
+    bell_state_vector,
+    density_from_expectations,
+    expectations_from_distributions,
+    state_fidelity,
+    tomography_settings,
 )
 from repro.workloads.swap import swap_benchmark
 
@@ -88,3 +100,82 @@ class TestSwapErrorRate:
                                    fast_experiment_config)
         assert 0.0 <= err <= 1.0
         assert dur > 0
+
+
+# ----------------------------------------------------------------------
+# Batched tomography against the reference it replaced: one backend run
+# per basis setting.
+# ----------------------------------------------------------------------
+def setting_variants(backend, prepared, qubit_pair):
+    qa, qb = qubit_pair
+    variants = []
+    for basis_a, basis_b in tomography_settings():
+        rot = QuantumCircuit(backend.device.num_qubits)
+        _basis_rotation(rot, qa, basis_a)
+        _basis_rotation(rot, qb, basis_b)
+        variants.append(
+            _insert_rotations_before_measures(prepared, rot.instructions))
+    return variants
+
+
+def tomography_error_per_setting(backend, prepared, qubit_pair, config):
+    dists = {
+        setting: run_distribution(backend, variant, config)
+        for setting, variant in zip(
+            tomography_settings(),
+            setting_variants(backend, prepared, qubit_pair))
+    }
+    rho = density_from_expectations(expectations_from_distributions(dists))
+    return 1.0 - state_fidelity(rho, bell_state_vector())
+
+
+@pytest.fixture(scope="module")
+def case_study(poughkeepsie, pk_report):
+    """The paper's case-study SWAP circuit under each scheduler."""
+    bench = swap_benchmark(poughkeepsie.coupling, 0, 13,
+                           path=(0, 5, 10, 11, 12, 13))
+    prepared = {policy: prepare_circuit(policy, bench.circuit, poughkeepsie,
+                                        pk_report)
+                for policy in SCHEDULERS}
+    return bench.meeting_pair, prepared
+
+
+class TestBatchedTomography:
+    @pytest.mark.parametrize("policy", SCHEDULERS)
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_equals_one_run_per_setting(self, poughkeepsie, case_study,
+                                        policy, sampled, mitigate):
+        pair, prepared = case_study
+        backend = NoisyBackend(poughkeepsie, seed=3)
+        config = ExperimentConfig(shots=1024, seed=17,
+                                  use_sampled_counts=sampled,
+                                  mitigate_readout=mitigate)
+        batched = tomography_error(backend, prepared[policy], pair, config)
+        reference = tomography_error_per_setting(backend, prepared[policy],
+                                                 pair, config)
+        assert batched == reference
+
+    def test_run_batch_equals_separate_runs(self, poughkeepsie, case_study):
+        pair, prepared = case_study
+        backend = NoisyBackend(poughkeepsie, seed=3)
+        variants = setting_variants(backend, prepared["XtalkSched"], pair)
+        batch = backend.run_batch(variants, shots=512, seed=8)
+        for variant, got in zip(variants, batch):
+            alone = backend.run(variant, shots=512, seed=8)
+            assert np.array_equal(got.probabilities, alone.probabilities)
+            assert got.counts == alone.counts
+            assert got.measured_qubits == alone.measured_qubits
+
+    def test_run_distributions_keeps_input_order(self, poughkeepsie):
+        backend = NoisyBackend(poughkeepsie, seed=1)
+        circuits = []
+        for q in (2, 7, 2):
+            circ = QuantumCircuit(20, 1).x(q)
+            circ.measure(q, 0)
+            circuits.append(circ)
+        config = ExperimentConfig(shots=256, use_sampled_counts=True)
+        got = run_distributions(backend, circuits, config)
+        for circ, probs in zip(circuits, got):
+            assert np.array_equal(probs,
+                                  run_distribution(backend, circ, config))

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.channels import (
     ReadoutModel,
@@ -21,6 +23,7 @@ from repro.sim.density import (
     DensityMatrix,
     NoisyOp,
     exact_output_distribution,
+    exact_output_distributions,
 )
 from repro.sim.statevector import Statevector
 from repro.sim.unitaries import (
@@ -313,3 +316,116 @@ class TestNoisyStreams:
         for op in ops:
             rho.apply_noisy_op(op)
             assert rho.trace() == pytest.approx(1.0, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# Batches against the reference they replace: one plain evolution per
+# stream.
+# ----------------------------------------------------------------------
+def evolve_alone(ops, num_qubits, measured):
+    rho = DensityMatrix(num_qubits)
+    for op in ops:
+        rho.apply_noisy_op(op)
+    return rho.probabilities(measured)
+
+
+#: How a batch's streams relate to one random base stream.
+BATCH_SHAPES = ("diverge_at_first", "diverge_in_middle", "diverge_at_last",
+                "strict_prefix", "duplicates", "two_qubit_counts", "single")
+
+
+def stream_batch(shape, seed):
+    """A batch of ``(ops, num_qubits, measured)`` streams of one shape."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+
+    def stream(num_qubits, length):
+        return _random_noisy_stream(rng, num_qubits, length=length)
+
+    def measured(num_qubits):
+        return [int(q) for q in rng.permutation(num_qubits)
+                [:int(rng.integers(1, num_qubits + 1))]]
+
+    base = stream(n, int(rng.integers(4, 16)))
+    middle = len(base) // 2
+    if shape == "diverge_at_first":
+        lists = [base] + [stream(n, int(rng.integers(1, 6)))
+                          for _ in range(2)]
+    elif shape == "diverge_in_middle":
+        lists = [base[:middle] + stream(n, int(rng.integers(1, 6)))
+                 for _ in range(3)] + [base]
+    elif shape == "diverge_at_last":
+        lists = [base, base[:-1] + stream(n, 1)]
+    elif shape == "strict_prefix":
+        lists = [base[:middle], base, base[:middle + 1]]
+    elif shape == "duplicates":
+        lists = [base, list(base), base]
+    elif shape == "two_qubit_counts":
+        other = stream(n + 1, int(rng.integers(4, 16)))
+        cut = len(other) // 2
+        streams = [(base, n, measured(n)),
+                   (other, n + 1, measured(n + 1)),
+                   (base[:middle] + stream(n, 3), n, measured(n)),
+                   (other[:cut] + stream(n + 1, 3), n + 1, measured(n + 1))]
+        return streams
+    else:
+        lists = [base]
+    return [(ops, n, measured(n)) for ops in lists]
+
+
+@settings(max_examples=70, deadline=None)
+@given(shape=st.sampled_from(BATCH_SHAPES), seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_matches_one_evolution_per_stream(shape, seed):
+    streams = stream_batch(shape, seed)
+    got = exact_output_distributions(streams)
+    assert len(got) == len(streams)
+    for (ops, n, measured), probs in zip(streams, got):
+        assert np.array_equal(probs, evolve_alone(ops, n, measured))
+
+
+class TestBatches:
+    def test_empty_batch(self):
+        assert exact_output_distributions([]) == []
+
+    def test_shared_prefix_is_evolved_once(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        base = _random_noisy_stream(rng, 3, length=12)
+        tails = [_random_noisy_stream(rng, 3, length=3) for _ in range(2)]
+        streams = [(base[:6] + tail, 3, [0, 1]) for tail in tails]
+        streams.append((base, 3, [2]))
+        applied = []
+        apply = DensityMatrix.apply_noisy_op
+
+        def spy(self, op):
+            applied.append(op)
+            apply(self, op)
+
+        monkeypatch.setattr(DensityMatrix, "apply_noisy_op", spy)
+        exact_output_distributions(streams)
+        assert len(applied) == 6 + 3 + 3 + 6
+
+    def test_oversized_stream_raises_before_any_state(self, monkeypatch):
+        built = []
+        init = DensityMatrix.__init__
+
+        def spy(self, num_qubits):
+            built.append(num_qubits)
+            init(self, num_qubits)
+
+        monkeypatch.setattr(DensityMatrix, "__init__", spy)
+        streams = [([NoisyOp.gate("h", (0,))], 2, [0]),
+                   ([NoisyOp.gate("x", (0,))], MAX_QUBITS + 1, [0])]
+        with pytest.raises(ValueError, match="beyond 10 qubits"):
+            exact_output_distributions(streams)
+        assert built == []
+
+    def test_copy_is_equal_and_independent(self):
+        rho = DensityMatrix(3)
+        for op in _random_noisy_stream(np.random.default_rng(9), 3):
+            rho.apply_noisy_op(op)
+        twin = rho.copy()
+        assert np.array_equal(twin.matrix, rho.matrix)
+        before = rho.matrix.copy()
+        twin.apply_noisy_op(NoisyOp.gate("x", (1,), error_prob=0.1))
+        assert np.array_equal(rho.matrix, before)
+        assert not np.array_equal(twin.matrix, before)
