@@ -20,7 +20,6 @@ def test_fig3_characterization_maps(benchmark, devices, record_table, record_tra
     with record_trace("fig3_characterization_maps") as session:
         rows = run_once(benchmark, run)
         scorecard = fig3.fig3_scorecard(rows)
-        session.documents["scorecard"] = scorecard.to_dict()
         session.results.update(scorecard.series())
     record_table("fig3_characterization", fig3.format_table(rows))
     print(f"\n{scorecard.format()}")

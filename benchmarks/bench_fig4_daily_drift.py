@@ -21,7 +21,6 @@ def test_fig4_daily_drift(benchmark, poughkeepsie, record_table, record_trace):
     with record_trace("fig4_daily_drift") as session:
         rows = run_once(benchmark, run)
         scorecard = fig4.fig4_scorecard(rows)
-        session.documents["scorecard"] = scorecard.to_dict()
         session.results.update(scorecard.series())
     record_table("fig4_daily_drift", fig4.format_table(rows))
     print(f"\n{scorecard.format()}")

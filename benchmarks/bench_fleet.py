@@ -10,13 +10,6 @@ headline numbers:
   against the planted truth, worst-device ``drift_lag_days``, stable-day
   fraction, and the quarantine count.
 
-A separate **live probe** then times an identical fault-free fleet with
-the live telemetry plane off vs on (``fleet.live_off_seconds`` /
-``fleet.live_on_seconds`` / ``fleet.live_overhead_ratio`` in the history
-series) and fails outright if the two runs' published epochs are not
-bitwise-identical — the live-plane overhead and pure-observer record for
-every benchmarked revision.
-
 Writes a ``repro.obs.manifest/v1`` document (check verdicts, injected
 fault counts, scorecard) and appends a summary record to the shared
 history store (``benchmarks/results/history.jsonl``) so fleet quality
@@ -35,21 +28,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.fleet.soak import SoakConfig, _controller, run_soak  # noqa: E402
+from repro.fleet.soak import SoakConfig, run_soak  # noqa: E402
 from repro.obs import (  # noqa: E402
-    LivePlane,
     MetricsRegistry,
     RunHistory,
     RunManifest,
     RunRecord,
-    default_fleet_rules,
     diff_records,
     format_diff,
     push_registry,
@@ -58,34 +47,6 @@ from repro.rb.executor import RBConfig  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "benchmarks" / "results" / "BENCH_fleet.json"
 DEFAULT_HISTORY = REPO_ROOT / "benchmarks" / "results" / "history.jsonl"
-
-
-def live_probe(config: SoakConfig) -> tuple:
-    """Live-plane overhead on a clean fleet: live plane off vs on.
-
-    Two fresh fault-free controllers run the same ticks; the second runs
-    under a :class:`LivePlane` (0.1s snapshots + per-tick publishes).
-    Returns the timing series and whether the published epochs were
-    bitwise-identical across the two runs (they must be: the plane is a
-    pure observer).
-    """
-    started = time.perf_counter()
-    off = _controller(config).run(config.days)
-    off_seconds = time.perf_counter() - started
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-fleet-") as tmp:
-        with LivePlane(tmp, interval=0.1, rules=default_fleet_rules(),
-                       source="bench_fleet"):
-            started = time.perf_counter()
-            on = _controller(config).run(config.days)
-            on_seconds = time.perf_counter() - started
-
-    series = {
-        "fleet.live_off_seconds": off_seconds,
-        "fleet.live_on_seconds": on_seconds,
-        "fleet.live_overhead_ratio": on_seconds / off_seconds,
-    }
-    return series, off.published_json() == on.published_json()
 
 
 def run_benchmark(args) -> tuple:
@@ -101,8 +62,7 @@ def run_benchmark(args) -> tuple:
     registry = MetricsRegistry()
     with push_registry(registry):
         result = run_soak(config)
-        live_series, live_identical = live_probe(config)
-    return config, result, registry, live_series, live_identical
+    return config, result, registry
 
 
 def main(argv=None) -> int:
@@ -129,14 +89,8 @@ def main(argv=None) -> int:
 
     print("[bench_fleet] running the soak triple "
           "(reference / chaos / kill-and-resume) ...", flush=True)
-    config, result, registry, live_series, live_identical = \
-        run_benchmark(args)
+    config, result, registry = run_benchmark(args)
     print(result.format())
-    print(f"[bench_fleet] live-plane overhead: "
-          f"{live_series['fleet.live_overhead_ratio']:.3f}x "
-          f"(off {live_series['fleet.live_off_seconds']:.2f}s, "
-          f"on {live_series['fleet.live_on_seconds']:.2f}s), "
-          f"epochs identical={live_identical}")
 
     metrics = result.scorecard.metrics
     series = {
@@ -150,7 +104,6 @@ def main(argv=None) -> int:
         "fleet.checks_failed": sum(
             1 for _n, passed, _d in result.checks if not passed
         ),
-        **live_series,
     }
     manifest = RunManifest.capture(
         name="bench_fleet",
@@ -192,11 +145,6 @@ def main(argv=None) -> int:
         f"soak check failed: {name} ({detail})"
         for name, passed, detail in result.checks if not passed
     ]
-    if not live_identical:
-        failures.append(
-            "live probe: published epochs differ with the live plane "
-            "enabled — the plane must be a pure observer"
-        )
 
     if args.gate:
         if record.git_dirty:

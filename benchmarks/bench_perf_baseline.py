@@ -21,10 +21,7 @@ Workloads:
   9-setting tomography of another.  Both legs ship the same code, so the
   speedup reads ~1 (neither the backend nor tomography fans out: both
   legs run one in-process batch job per unit, and ``workers`` is
-  accepted and ignored) and the history gate watches their seconds;
-* live_overhead — the shipped campaign with the live telemetry plane
-  off (``serial_seconds``) vs on (``parallel_seconds``), so the
-  ``--check`` budget doubles as the live-plane overhead gate.
+  accepted and ignored) and the history gate watches their seconds.
 
 Determinism spot-checks always compare the *shipped* configuration at 1
 worker against N workers (bitwise).  The campaign's serial leg is a
@@ -61,7 +58,6 @@ import gc
 import os
 import statistics
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -84,12 +80,10 @@ from repro.experiments.common import (  # noqa: E402
 )
 from repro.obs import (  # noqa: E402
     DiffThresholds,
-    LivePlane,
     MetricsRegistry,
     RunHistory,
     RunManifest,
     RunRecord,
-    default_fleet_rules,
     diff_records,
     format_diff,
     push_registry,
@@ -233,57 +227,10 @@ def bench_exact_tomography(workers: int, fast: bool) -> dict:
     }
 
 
-def bench_live_overhead(workers: int, fast: bool) -> dict:
-    """Live-telemetry-plane overhead on the campaign path: off vs on.
-
-    Unlike the other workloads, both legs run the *shipped*
-    configuration; the only variable is an active
-    :class:`~repro.obs.live.LivePlane` (snapshot thread + heartbeats +
-    snapshot JSONL) around the ``parallel_seconds`` leg.  The two reports must
-    be identical — the live plane is a pure observer — and
-    ``overhead_ratio`` (on/off) is the number the ``--check`` budget
-    gates.
-    """
-    device = ibmq_poughkeepsie()
-    rb = RBConfig.fast() if fast else RBConfig()
-    clifford_group(2)
-    campaign = CharacterizationCampaign(device, rb_config=rb, seed=3)
-
-    def run():
-        return campaign.run(CharacterizationPolicy.ONE_HOP_PACKED,
-                            workers=workers)
-
-    run()  # fill the RB memo caches outside both legs
-    with tempfile.TemporaryDirectory(prefix="repro-bench-live-") as tmp:
-        def observed():
-            with LivePlane(tmp, interval=0.05, rules=default_fleet_rules(),
-                           source="bench_perf"):
-                return run()
-
-        off, off_seconds, on, on_seconds = _interleaved(run, observed, 5)
-
-    reports = [(o.report.independent, o.report.conditional)
-               for o in off + on]
-    return {
-        "serial_seconds": off_seconds,
-        "parallel_seconds": on_seconds,
-        "workers": workers,
-        "speedup": off_seconds / on_seconds,
-        "overhead_ratio": on_seconds / off_seconds,
-        "deterministic_across_worker_counts": all(
-            r == reports[0] for r in reports),
-        "notes": "serial = live plane off; parallel = identical campaign "
-                 "under a LivePlane (0.05s snapshots + heartbeats + "
-                 "snapshot JSONL); 5 units per leg interleaved, leg = "
-                 "median unit; overhead_ratio = on/off",
-    }
-
-
 WORKLOADS = {
     "campaign_one_hop_packed": bench_campaign,
     "exact_backend": bench_exact_backend,
     "exact_tomography": bench_exact_tomography,
-    "live_overhead": bench_live_overhead,
 }
 
 

@@ -10,7 +10,7 @@ one entry per workload::
                       "decisions": ..., "objective": ...,
                       "interrupt": ..., "fallback": ...}, ...,
         "objective_gap": {"exact_objective": ..., "windowed_gap": ...,
-                          "portfolio_gap": ...}}}}
+                          ...}}}}
 
 Two workload families:
 
@@ -22,9 +22,8 @@ Two workload families:
   budget fallback reason being recorded — degradation must never be
   silent.
 * **gap** — on a small model where exact B&B is reachable, the windowed
-  and portfolio strategies must land within 5% of the exact objective
-  (they match it on this model), and the windowed schedule must be
-  repeat-run identical.
+  strategy must land within 5% of the exact objective (it matches it on
+  this model), and the windowed schedule must be repeat-run identical.
 
 Run directly (not through pytest)::
 
@@ -76,7 +75,7 @@ from repro.workloads.supremacy import supremacy_circuit  # noqa: E402
 DEFAULT_OUT = REPO_ROOT / "BENCH_sched_scale.json"
 DEFAULT_HISTORY = REPO_ROOT / "benchmarks" / "results" / "history.jsonl"
 
-#: Windowed/portfolio must land within 5% of the exact objective.
+#: Windowed must land within 5% of the exact objective.
 GAP_TOLERANCE = 0.05
 
 
@@ -120,7 +119,7 @@ def _gap_circuit() -> QuantumCircuit:
 
 
 def bench_gap() -> dict:
-    """Objective-vs-exact gap of windowed/portfolio on a small model."""
+    """Objective-vs-exact gap of windowed on a small model."""
     device = ibmq_poughkeepsie()
     report = ground_truth_report(device)
     circuit = _gap_circuit()
@@ -132,7 +131,6 @@ def bench_gap() -> dict:
 
     exact = run("monolithic")
     windowed = run("windowed")
-    portfolio = run("portfolio")
     repeat = run("windowed")
     reference = exact.solution.objective
 
@@ -143,9 +141,7 @@ def bench_gap() -> dict:
         "exact_is_exact": exact.solution.exact,
         "exact_objective": reference,
         "windowed_objective": windowed.solution.objective,
-        "portfolio_objective": portfolio.solution.objective,
         "windowed_gap": gap(windowed),
-        "portfolio_gap": gap(portfolio),
         "windowed_repeat_identical": (
             windowed.solution.assignment == repeat.solution.assignment
             and windowed.solution.times == repeat.solution.times
@@ -179,11 +175,10 @@ def check_workloads(workloads: dict) -> list:
     if gap is not None:
         if not gap["exact_is_exact"]:
             failures.append("objective_gap: reference solve was not exact")
-        for key in ("windowed_gap", "portfolio_gap"):
-            if gap[key] > GAP_TOLERANCE:
-                failures.append(
-                    f"objective_gap: {key} {gap[key]:.4f} exceeds "
-                    f"{GAP_TOLERANCE:.2f}")
+        if gap["windowed_gap"] > GAP_TOLERANCE:
+            failures.append(
+                f"objective_gap: windowed_gap {gap['windowed_gap']:.4f} "
+                f"exceeds {GAP_TOLERANCE:.2f}")
         if not gap["windowed_repeat_identical"]:
             failures.append(
                 "objective_gap: windowed schedule differs across runs")
@@ -212,9 +207,7 @@ def main(argv=None) -> int:
         print("[bench_sched] running objective_gap ...", flush=True)
         workloads["objective_gap"] = bench_gap()
         print(f"[bench_sched]   windowed gap "
-              f"{workloads['objective_gap']['windowed_gap']:.4f}  "
-              f"portfolio gap "
-              f"{workloads['objective_gap']['portfolio_gap']:.4f}",
+              f"{workloads['objective_gap']['windowed_gap']:.4f}",
               flush=True)
 
         # 250 gates on the 65q preset crosses exact_decision_limit, so

@@ -35,28 +35,29 @@ def record_table(results_dir):
 def record_trace(results_dir):
     """Run the block inside a :class:`repro.obs.Session` and archive its
     telemetry — span-tree trace, metric deltas, event log, and run
-    manifest — next to the driver's table, plus a summary record in the
-    ``results/history.jsonl`` run store::
+    manifest — next to the benchmark's table::
 
         with record_trace("fig5") as session:
             rows = run()
-            session.documents["scorecard"] = scorecard.to_dict()
+            session.results.update(scorecard.series())
 
     Inspect any of the written files with ``python -m repro.obs report``;
-    diff two runs with ``python -m repro.obs diff``.
+    diff two runs with ``python -m repro.obs diff``.  A test run appends
+    nothing to ``results/history.jsonl``: only the standalone benchmark
+    scripts (``bench_perf_baseline.py``, ``bench_fleet.py``,
+    ``bench_sched_scale.py``) append there.
     """
 
     @contextlib.contextmanager
     def _record(name: str):
         from repro.obs import Session
 
-        session = Session(name, history=str(results_dir / "history.jsonl"))
+        session = Session(name)
         with session:
             yield session
         paths = session.write(str(results_dir))
         print(f"\n[run {session.run_id}: telemetry written to "
-              f"{paths['trace']} (+ metrics/manifest/events; summary "
-              f"appended to history.jsonl)]")
+              f"{paths['trace']} (+ metrics/manifest/events)]")
 
     return _record
 

@@ -16,7 +16,6 @@ from repro.circuit.gates import (
 )
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import CircuitDag
-from repro.circuit.qasm import circuit_to_qasm, qasm_to_circuit
 
 __all__ = [
     "GateSpec",
@@ -26,6 +25,4 @@ __all__ = [
     "is_two_qubit_gate",
     "QuantumCircuit",
     "CircuitDag",
-    "circuit_to_qasm",
-    "qasm_to_circuit",
 ]

@@ -46,7 +46,6 @@ from repro.core.characterization.report import CrosstalkReport
 from repro.device.device import Device
 from repro.device.topology import CouplingMap, Edge, normalize_edge
 from repro.obs.events import current_run_id, log_event
-from repro.obs.live.heartbeat import heartbeat, heartbeat_step
 from repro.obs.registry import get_registry
 from repro.obs.trace import Trace, span
 from repro.parallel import ParallelEngine
@@ -329,25 +328,18 @@ class CharacterizationCampaign:
                     skipped=skipped, remaining=len(to_run),
                     path=checkpoint.path,
                 )
-            # Stage progress for the live plane: checkpoint hits count as
-            # done immediately; fresh experiments step as they complete.
-            beat_source = f"campaign[{stage}]"
-            heartbeat(beat_source, stage=span_name, done=skipped,
-                      total=len(experiments))
             if to_run:
                 run_keys = [keys[i] for i in to_run]
 
                 def on_result(j: int, value) -> None:
-                    if checkpoint is not None:
-                        checkpoint.append(run_keys[j], _encode_result(value))
-                    heartbeat_step(beat_source, "done")
+                    checkpoint.append(run_keys[j], _encode_result(value))
 
                 fresh = engine.map(
                     _campaign_experiment_task,
                     [experiments[i] for i in to_run],
                     context,
                     keys=run_keys,
-                    on_result=on_result,
+                    on_result=on_result if checkpoint is not None else None,
                     return_failures=(degradation == "partial"),
                 )
                 for j, i in enumerate(to_run):

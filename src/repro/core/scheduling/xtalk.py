@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import CircuitDag
@@ -41,7 +41,6 @@ from repro.device.calibration import Calibration
 from repro.device.topology import normalize_edge
 from repro.smt.budget import Budget
 from repro.smt.model import Decision, DiffConstraint, Option, ScheduleModel
-from repro.smt.portfolio import PortfolioSolver
 from repro.smt.solver import OptimizingSolver, Solution
 from repro.smt.windows import WindowedSolver
 from repro.transpiler.barriers import reorder_and_barrier, strip_barriers
@@ -51,11 +50,11 @@ _MIN_ERROR = 1e-6
 _OVERLAP = "overlap"
 
 #: Valid ``strategy=`` values for :class:`XtalkScheduler`.
-STRATEGIES = ("auto", "monolithic", "windowed", "portfolio")
+STRATEGIES = ("auto", "monolithic", "windowed")
 
 #: ``schedule.strategy`` gauge encoding (the *resolved* strategy — auto
 #: reports as whichever mode it picked).
-STRATEGY_CODES = {"monolithic": 0, "windowed": 1, "portfolio": 2}
+STRATEGY_CODES = {"monolithic": 0, "windowed": 1}
 
 
 @dataclass
@@ -71,10 +70,8 @@ class CandidatePair:
 class XtalkPartialCost:
     """The ω Σ log g.ε objective part, monotone in overlap decisions.
 
-    A module-level callable class (not a closure) so solve requests
-    carrying it pickle cleanly into portfolio pool workers.  It holds only
-    plain floats extracted from the calibration/report at build time — no
-    reference back to the scheduler.
+    It holds only plain floats extracted from the calibration/report at
+    build time — no reference back to the scheduler.
     """
 
     def __init__(self, omega: float, base: float,
@@ -118,22 +115,9 @@ class ScheduledCircuit:
     option_labels: Tuple[str, ...]
     compile_seconds: float
     fallback_reason: Optional[str] = None
-    #: The *resolved* solve strategy ("monolithic", "windowed", or
-    #: "portfolio" — ``strategy="auto"`` reports whichever it picked).
+    #: The *resolved* solve strategy ("monolithic" or "windowed" —
+    #: ``strategy="auto"`` reports whichever it picked).
     strategy: str = "monolithic"
-
-    def warm_start_hint(self) -> Dict[str, str]:
-        """This schedule as a warm-start hint for the next epoch's solve.
-
-        Maps decision names (``pair_{i}_{j}``) to the option labels this
-        schedule chose; feed it to ``XtalkScheduler(warm_start=...)`` when
-        re-scheduling the same circuit against refreshed calibration data
-        so local search and the portfolio's warm entrants start from it.
-        """
-        return {
-            f"pair_{pair.gate_i}_{pair.gate_j}": label
-            for pair, label in zip(self.candidate_pairs, self.option_labels)
-        }
 
     @property
     def serialized_pairs(self) -> Tuple[Tuple[int, int], ...]:
@@ -194,10 +178,7 @@ class XtalkScheduler:
                  minimal_barriers: bool = True, isa: str = "barrier",
                  max_solve_seconds: Optional[float] = None,
                  fallback: str = "incumbent",
-                 strategy: str = "auto",
-                 warm_start: Optional[Union[Mapping[str, str],
-                                            "ScheduledCircuit"]] = None,
-                 portfolio_workers: Optional[int] = None):
+                 strategy: str = "auto"):
         if not 0.0 <= omega <= 1.0:
             raise ValueError("omega must be in [0, 1]")
         if isa not in ("barrier", "pulse"):
@@ -234,19 +215,10 @@ class XtalkScheduler:
         #: single-model solve (exact below ``exact_decision_limit``
         #: decisions, greedy above); ``"windowed"`` decomposes the
         #: decision list into budget-shared exact windows
-        #: (:class:`~repro.smt.windows.WindowedSolver`); ``"portfolio"``
-        #: races backends (:class:`~repro.smt.portfolio.PortfolioSolver`);
-        #: ``"auto"`` (default) stays monolithic within the exact limit
-        #: and switches to windowed above it.
+        #: (:class:`~repro.smt.windows.WindowedSolver`); ``"auto"``
+        #: (default) stays monolithic within the exact limit and switches
+        #: to windowed above it.
         self.strategy = strategy
-        #: Warm start for the solve: a mapping of decision name to option
-        #: label, or a previous :class:`ScheduledCircuit` (typically the
-        #: same circuit scheduled against the previous calibration epoch),
-        #: whose choices seed local search and the portfolio's warm
-        #: entrants.
-        self.warm_start = warm_start
-        #: Worker cap for the portfolio race (None: ``REPRO_WORKERS``).
-        self.portfolio_workers = portfolio_workers
         #: True (default): iterative realization that only barriers pairs
         #: still overlapping under the hardware re-schedule.  False: one
         #: barrier per serialized pair (the naive realization; kept for the
@@ -279,9 +251,9 @@ class XtalkScheduler:
         cost_fn = self._make_partial_cost(circuit, pairs)
 
         # One Budget owns the clock for every layer of the solve — the
-        # façade, nested incumbents, windows, and portfolio entrants all
-        # share it via first-caller-wins arming, so the effective limit
-        # can never be extended by nesting.
+        # façade, nested incumbents and windows all share it via
+        # first-caller-wins arming, so the effective limit can never be
+        # extended by nesting.
         budget = Budget(self.max_solve_seconds)
         resolved, backend = self._select_backend(model)
         solver = OptimizingSolver(
@@ -290,7 +262,6 @@ class XtalkScheduler:
             max_nodes=self.max_nodes,
             budget=budget,
             backend=backend,
-            hint=self._warm_hint(),
         )
         fallback_reason: Optional[str] = None
         try:
@@ -363,23 +334,10 @@ class XtalkScheduler:
             return "monolithic", None
         if self.strategy == "windowed":
             return "windowed", WindowedSolver(cap=self.exact_decision_limit)
-        if self.strategy == "portfolio":
-            return "portfolio", PortfolioSolver(
-                workers=self.portfolio_workers,
-                window_cap=self.exact_decision_limit,
-            )
         # auto
         if len(model.decisions) <= self.exact_decision_limit:
             return "monolithic", None
         return "windowed", WindowedSolver(cap=self.exact_decision_limit)
-
-    def _warm_hint(self) -> Optional[Mapping[str, str]]:
-        """The warm start normalized to a decision-name -> label mapping."""
-        if self.warm_start is None:
-            return None
-        if isinstance(self.warm_start, ScheduledCircuit):
-            return self.warm_start.warm_start_hint()
-        return dict(self.warm_start)
 
     # ------------------------------------------------------------------
     # decision audit

@@ -155,7 +155,7 @@ def ibm_hummingbird_65q() -> Device:
     A scheduling stress target, not a paper evaluation system: 10 planted
     high-crosstalk pairs spread over the lattice give device-scale models
     enough decisions to overflow the exact solver and exercise the
-    windowed/portfolio strategies.
+    windowed strategy.
     """
     coupling = heavy_hex_coupling_map(5, 11)
     calibration = synthesize_calibration(coupling, seed=65)

@@ -50,8 +50,6 @@ from repro.core.characterization.campaign import (
 from repro.core.characterization.report import CrosstalkReport
 from repro.device.device import Device
 from repro.obs.events import current_run_id, log_event
-from repro.obs.live.heartbeat import heartbeat
-from repro.obs.live.plane import get_plane
 from repro.obs.registry import get_registry
 from repro.obs.scorecard import DriftDay, Scorecard, drift_scorecard
 from repro.obs.trace import Trace, span
@@ -357,7 +355,6 @@ class FleetController:
                     tick.counters["fleet.budget_left"] = float(
                         remaining if remaining is not None else -1
                     )
-                    self._tick_telemetry(day, remaining)
         trace = Trace(root.name, spans=root.children, meta={
             "fleet_key": self.fleet_key(),
             "devices": list(self._names),
@@ -370,45 +367,6 @@ class FleetController:
             replays=self._replays, quarantined=list(outcome.quarantined),
         )
         return outcome
-
-    def _tick_telemetry(self, day: int, remaining: Optional[int]) -> None:
-        """End-of-tick fleet health gauges (the live plane's alert feed).
-
-        ``fleet.max_staleness`` and ``fleet.breakers_open`` cover only
-        non-quarantined devices: a quarantined device is a *decided*
-        failure the operator already sees in ``fleet.quarantined``, so
-        excluding it lets the corresponding alert resolve once the fleet
-        has isolated the fault.  ``fleet.budget_left`` is only set on
-        budgeted runs (the budget alert never fires spuriously).  Pure
-        observer: gauges and heartbeats feed snapshots, never decisions.
-        """
-        registry = get_registry()
-        registry.set("fleet.day", float(day))
-        breakers_open = 0
-        max_staleness = 0.0
-        for name in self._names:
-            supervisor = self.supervisors[name]
-            if supervisor.quarantined:
-                continue
-            if supervisor.breaker.state != "closed":
-                breakers_open += 1
-            last_good = self._tracks[name].last_good_day
-            staleness = (float(day - last_good) if last_good is not None
-                         else float(day) + 1.0)
-            max_staleness = max(max_staleness, staleness)
-        registry.set("fleet.breakers_open", float(breakers_open))
-        registry.set("fleet.max_staleness", max_staleness)
-        registry.set("fleet.quarantined_devices", float(sum(
-            1 for name in self._names if self.supervisors[name].quarantined
-        )))
-        if remaining is not None:
-            registry.set("fleet.budget_left", float(remaining))
-        heartbeat("fleet", day=day, published=self._published,
-                  breakers_open=breakers_open,
-                  max_staleness=max_staleness)
-        plane = get_plane()
-        if plane is not None:
-            plane.tick()
 
     def _outcome(self, start_day: int, days: int,
                  trace: Optional[Trace]) -> FleetOutcome:

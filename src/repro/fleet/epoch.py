@@ -90,8 +90,7 @@ class CalibrationEpoch:
 
         This is what downstream consumers feed to
         :class:`~repro.core.scheduling.xtalk.XtalkScheduler` as its
-        ``report=`` input; a schedule built on the previous epoch can
-        seed the next one through the scheduler's ``warm_start=`` path.
+        ``report=`` input.
         """
         return CrosstalkReport.from_json(self.report_json)
 

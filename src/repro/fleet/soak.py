@@ -21,17 +21,6 @@ bitwise-identical to the fault-free reference (retries fully absorb
 their faults), and the resumed run's published epochs are
 bitwise-identical to the uninterrupted chaos run.
 
-The **chaos leg runs inside a live telemetry plane**
-(:class:`repro.obs.live.LivePlane` with
-:func:`~repro.obs.live.alerts.default_fleet_rules`): the soak then also
-checks that a tail-readable snapshot stream was produced mid-run and that
-the drift-lag / breaker alerts both *fired* (device 0 failing) and
-*resolved* (device 0 quarantined).  Because the reference and resume legs
-run *without* the plane, the existing ``healthy_identity`` and
-``resume_identity`` checks double as proof that the live plane never
-perturbs published epochs — live-on and live-off runs are
-bitwise-identical.
-
 ``python -m repro.fleet.soak`` runs it from the command line and exits
 nonzero if any check fails.
 """
@@ -47,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.device.presets import simulated_fleet
-from repro.obs.live import LivePlane, default_fleet_rules, read_snapshots
 from repro.obs.scorecard import Scorecard
 from repro.parallel.seeding import stable_entropy
 from repro.rb.executor import RBConfig
@@ -82,11 +70,6 @@ class SoakConfig:
     rb_config: RBConfig = field(
         default_factory=lambda: RBConfig(lengths=(2, 4, 8), num_sequences=2)
     )
-    #: Directory for the chaos leg's live-plane snapshot JSONL; None keeps
-    #: it in the soak's tempdir.
-    live_dir: Optional[str] = None
-    #: Background snapshot interval for the chaos leg's live plane.
-    live_interval: float = 0.2
 
     def __post_init__(self):
         if self.devices < 3:
@@ -192,24 +175,12 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:
         reference = _controller(config).run(config.days)
 
-        # Only the chaos leg runs under the live plane; the reference and
-        # resume legs stay live-off, so healthy_identity/resume_identity
-        # also prove live-on == live-off epoch identity.
-        live_dir = config.live_dir or f"{tmp}/live"
         started = time.perf_counter()
         chaos_controller = _controller(
             config, fault_plans=plans, checkpoint_dir=f"{tmp}/chaos",
         )
-        plane = LivePlane(
-            live_dir, interval=config.live_interval,
-            rules=default_fleet_rules(), source="fleet-soak",
-        )
-        with plane:
-            chaos = chaos_controller.run(config.days)
+        chaos = chaos_controller.run(config.days)
         seconds = time.perf_counter() - started
-        # Evaluate the live-plane artifacts now: when live_dir was not
-        # pinned they live inside this (about to vanish) tempdir.
-        live_checks = _check_live_plane(plane, config)
 
         total = config.devices * config.days
         cut = max(1, int(total * config.interrupt_fraction))
@@ -261,7 +232,6 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
         f"{injected.get('job_rejection', 0)} rejections, "
         f"{injected.get('job_timeout', 0)} timeouts/stalls",
     ))
-    checks.extend(live_checks)
 
     return SoakResult(
         config=config, checks=checks, quarantined=chaos.quarantined,
@@ -269,38 +239,6 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
         seconds=seconds,
         device_days_per_sec=(config.devices * config.days) / seconds,
     )
-
-
-def _check_live_plane(plane: LivePlane,
-                      config: SoakConfig) -> List[Tuple[str, bool, str]]:
-    """The two live-plane checks (snapshot stream, alert lifecycle).
-
-    The controller publishes one snapshot per tick (plus the background
-    interval and the plane's final sample), so a full chaos leg must
-    leave at least ``days`` snapshot documents.  Device 0 failing every
-    admission makes ``drift_lag``/``breaker_open`` fire; its quarantine
-    removes it from the non-quarantined gauges, so at least one of the
-    two must also resolve before the run ends.
-    """
-    checks: List[Tuple[str, bool, str]] = []
-    snapshots = read_snapshots(plane.snapshot_path)
-    checks.append((
-        "live_snapshots", len(snapshots) >= config.days,
-        f"{len(snapshots)} snapshot documents "
-        f"(>= {config.days} ticks expected) in {plane.snapshot_path}",
-    ))
-    summary = plane.alerts.summary()["rules"]
-    lifecycle = {
-        name: (summary[name]["fired"], summary[name]["resolved"])
-        for name in ("drift_lag", "breaker_open")
-    }
-    cycled = any(fired > 0 and resolved > 0
-                 for fired, resolved in lifecycle.values())
-    checks.append((
-        "live_alert_lifecycle", cycled,
-        f"fired/resolved per rule: {lifecycle}",
-    ))
-    return checks
 
 
 def _check_lost_epochs(chaos: FleetOutcome, names: List[str],
@@ -352,19 +290,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="global experiments per simulated day")
     parser.add_argument("--out", default=None,
                         help="write the result document as JSON")
-    parser.add_argument("--live-dir", default=None,
-                        help="keep the chaos leg's live-plane snapshot "
-                             "stream (snapshots.jsonl) here instead of the "
-                             "soak tempdir")
-    parser.add_argument("--live-interval", type=float, default=0.2,
-                        help="live-plane background snapshot interval "
-                             "(seconds, default 0.2)")
     args = parser.parse_args(argv)
     config = SoakConfig(
         devices=args.devices, days=args.days, qubits=args.qubits,
         seed=args.seed, workers=args.workers, fault_rate=args.fault_rate,
         stall_rate=args.stall_rate, daily_budget=args.budget,
-        live_dir=args.live_dir, live_interval=args.live_interval,
     )
     result = run_soak(config)
     print(result.format())

@@ -40,15 +40,6 @@ one run's artefacts are comparable with the next's):
   crosstalk-pair detection recall/precision, drift-tracking lag, and
   scheduler serialization audits — that diff and gate like any series.
 
-Finally, the **live plane** (:mod:`repro.obs.live`) watches long-running
-runs in real time: a :class:`SnapshotPublisher` samples the registry
-into versioned ``repro.obs.snapshot/v1`` documents (merged with worker
-heartbeats), an :class:`AlertEngine` evaluates declarative threshold +
-sustain rules per snapshot with a firing/resolved lifecycle, and the
-snapshots stream to tail-able JSONL (``python -m repro.obs tail --follow``
-/ ``top``).  Everything in the live plane is a side-channel observer:
-seeded results are bitwise identical with it on or off.
-
 See ``docs/observability.md`` for the metric/span name registry and
 schemas.
 """
@@ -135,24 +126,6 @@ from .trace import (
     read_trace,
     span,
 )
-from .live import (
-    SNAPSHOT_SCHEMA,
-    AlertEngine,
-    AlertRule,
-    HeartbeatBoard,
-    LivePlane,
-    SnapshotPublisher,
-    SnapshotWriter,
-    build_series,
-    default_fleet_rules,
-    get_plane,
-    heartbeat,
-    heartbeat_step,
-    heartbeats_active,
-    live_plane,
-    read_snapshots,
-    tail_records,
-)
 
 __all__ = [
     # trace
@@ -184,10 +157,4 @@ __all__ = [
     "fleet_scorecard", "schedule_audit_scorecard",
     # session / reporting
     "Session", "report", "load_report_document",
-    # live plane
-    "SNAPSHOT_SCHEMA", "HeartbeatBoard",
-    "SnapshotPublisher", "SnapshotWriter", "AlertRule", "AlertEngine",
-    "LivePlane", "live_plane", "get_plane", "default_fleet_rules",
-    "heartbeat", "heartbeat_step", "heartbeats_active",
-    "build_series", "read_snapshots", "tail_records",
 ]

@@ -1,14 +1,12 @@
 """Command-line entry point for the observability layer.
 
-Six subcommands::
+Four subcommands::
 
     python -m repro.obs report  <files...>  [--format text|json]
     python -m repro.obs diff    <baseline> <candidate> [--gate]
     python -m repro.obs diff    <candidate> --history H.jsonl --last 5 --gate
     python -m repro.obs profile <trace> [--format text|collapsed|speedscope]
     python -m repro.obs history <store.jsonl> [--last N] [--compact N]
-    python -m repro.obs tail    <snapshots.jsonl> [--follow] [--last N]
-    python -m repro.obs top     <snapshots.jsonl> [--follow]
 
 ``report`` renders any obs artefact (trace, metrics, manifest, diff,
 profile, scorecard, history record or store); ``--format json`` emits the
@@ -17,11 +15,7 @@ candidate against a history window — with the noise-aware comparator of
 :mod:`repro.obs.diff`; with ``--gate`` it exits nonzero when anything
 regressed (the CI hook).  ``profile`` turns a v2 trace into self/total
 attribution, collapsed stacks, or a speedscope document.  ``history``
-lists or compacts a run store.  ``tail`` streams a live plane's snapshot
-JSONL (one line per ``repro.obs.snapshot/v1`` document; ``--follow``
-keeps reading as the run appends).  ``top`` renders the latest snapshot
-as a fleet/campaign/parallel progress board and, with ``--follow``,
-redraws it live.
+lists or compacts a run store.
 
 Exit codes are stable: **0** success (and, for ``diff --gate``, no
 regression); **1** bad input — unreadable file, unknown schema, empty
@@ -31,13 +25,11 @@ history; **2** the gate tripped (``diff --gate`` found a regression).
 from __future__ import annotations
 
 import argparse
-import json as _json_mod
 import sys
 from typing import List, Optional
 
 from .diff import DiffThresholds, diff_records, format_diff
 from .history import RunHistory, format_history_report, load_run_record
-from .live.snapshot import SNAPSHOT_SCHEMA, read_snapshots, tail_records
 from .profile import (collapsed_stacks, profile_trace, speedscope_document,
                       validate_speedscope)
 from .report import DEFAULT_TOP_K, report, report_json
@@ -128,36 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="retention: keep the newest KEEP records per "
                            "run name, rewrite the store")
 
-    tail = sub.add_parser(
-        "tail",
-        help="stream a live plane's snapshot JSONL (tolerates torn "
-             "lines from a concurrent writer)",
-    )
-    tail.add_argument("stream", help="snapshot .jsonl file")
-    tail.add_argument("--follow", action="store_true",
-                      help="keep reading as the file grows")
-    tail.add_argument("--interval", type=float, default=0.2,
-                      help="poll period while following (default 0.2s)")
-    tail.add_argument("--max-seconds", type=float, default=None,
-                      help="stop following after this many seconds")
-    tail.add_argument("--last", type=int, default=None,
-                      help="only print the last N existing records "
-                           "(then follow, if requested)")
-    tail.add_argument("--format", choices=("text", "json"), default="text",
-                      help="output format (default text)")
-
-    top = sub.add_parser(
-        "top",
-        help="terminal progress board from the latest snapshot "
-             "(fleet / campaign / parallel / alerts)",
-    )
-    top.add_argument("stream", help="snapshot .jsonl file")
-    top.add_argument("--follow", action="store_true",
-                     help="redraw as new snapshots arrive")
-    top.add_argument("--interval", type=float, default=0.5,
-                     help="poll period while following (default 0.5s)")
-    top.add_argument("--max-seconds", type=float, default=None,
-                     help="stop following after this many seconds")
     return parser
 
 
@@ -280,155 +242,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_tail_line(record: dict) -> str:
-    """One text line per tailed record (snapshots get a digest)."""
-    if record.get("schema") != SNAPSHOT_SCHEMA:
-        return _json_mod.dumps(record, sort_keys=True)
-    series = record.get("series", {})
-    parts = [f"[{record.get('seq', '?'):>4}]",
-             f"t=+{record.get('uptime_seconds', 0.0):.1f}s"]
-    for key in ("fleet.day", "fleet.ticks", "fleet.epochs_published",
-                "fleet.max_staleness", "fleet.breakers_open",
-                "parallel.tasks", "obs.live.heartbeats"):
-        value = series.get(key)
-        if value is not None:
-            short = key.split(".", 1)[1] if "." in key else key
-            text = (f"{value:g}" if isinstance(value, (int, float))
-                    else str(value))
-            parts.append(f"{short}={text}")
-    firing = record.get("alerts", {}).get("firing", [])
-    parts.append("alerts=" + (",".join(firing) if firing else "none"))
-    for transition in record.get("alerts", {}).get("transitions", []):
-        parts.append(f"{transition['alert']}->{transition['state']}")
-    return " ".join(parts)
-
-
-def _format_top(record: dict) -> str:
-    """The ``top`` progress board for one snapshot document."""
-    series = record.get("series", {})
-    heartbeats = record.get("heartbeats", {})
-    alerts = record.get("alerts", {})
-    lines = [
-        f"repro.obs top — source={record.get('source', '?')} "
-        f"seq={record.get('seq', '?')} "
-        f"uptime={record.get('uptime_seconds', 0.0):.1f}s"
-        + (f" run={record['run_id']}" if record.get("run_id") else ""),
-        "",
-    ]
-
-    def _section(title: str, rows: List[str]) -> None:
-        if rows:
-            lines.append(title)
-            lines.extend(f"  {row}" for row in rows)
-            lines.append("")
-
-    fleet_rows = []
-    for key in sorted(series):
-        if key.startswith("fleet.") and "[" not in key:
-            value = series[key]
-            text = f"{value:g}" if isinstance(value, (int, float)) else value
-            fleet_rows.append(f"{key:32s} {text}")
-    _section("fleet", fleet_rows)
-
-    progress_rows = []
-    for source in sorted(heartbeats):
-        entry = heartbeats[source]
-        bits = []
-        for key in ("stage", "status"):
-            if key in entry:
-                bits.append(str(entry[key]))
-        done = entry.get("done", entry.get("tasks_done"))
-        total = entry.get("total", entry.get("tasks_total"))
-        if done is not None:
-            bits.append(f"{done}/{total}" if total is not None
-                        else str(done))
-        bits.append(f"beats={entry.get('beats', 0)}")
-        progress_rows.append(f"{source:40s} {' '.join(bits)}")
-    _section("progress", progress_rows)
-
-    alert_rows = []
-    for name in alerts.get("firing", []):
-        alert_rows.append(f"FIRING  {name}")
-    for transition in alerts.get("transitions", []):
-        alert_rows.append(
-            f"{transition['state']:8s}{transition['alert']} "
-            f"({transition['series']} {transition['op']} "
-            f"{transition['threshold']:g}, value={transition['value']:g})"
-        )
-    if not alert_rows:
-        alert_rows = ["(none firing)"]
-    _section("alerts", alert_rows)
-    return "\n".join(lines).rstrip("\n")
-
-
-def _cmd_tail(args: argparse.Namespace) -> int:
-    """``tail``: stream snapshot/event records from a live JSONL file."""
-    try:
-        records = tail_records(args.stream, follow=args.follow,
-                               poll=args.interval,
-                               max_seconds=args.max_seconds)
-        if args.last is not None:
-            # Buffer only the existing file, then re-follow the growth.
-            existing = list(tail_records(args.stream))
-            records = iter(existing[-args.last:]) if not args.follow \
-                else _chain_last(existing, args)
-        for record in records:
-            if args.format == "json":
-                print(_json_mod.dumps(record, sort_keys=True), flush=True)
-            else:
-                print(_format_tail_line(record), flush=True)
-    except OSError as error:
-        print(f"error: {args.stream}: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    return 0
-
-
-def _chain_last(existing: List[dict], args: argparse.Namespace):
-    """The last N existing records, then live growth of the stream."""
-    count = len(existing)
-    yield from existing[-args.last:]
-    for index, record in enumerate(
-            tail_records(args.stream, follow=True, poll=args.interval,
-                         max_seconds=args.max_seconds)):
-        if index >= count:
-            yield record
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """``top``: render the latest snapshot as a progress board."""
-    try:
-        if not args.follow:
-            snapshots = read_snapshots(args.stream)
-            if not snapshots:
-                print(f"error: {args.stream}: no snapshot records",
-                      file=sys.stderr)
-                return EXIT_ERROR
-            print(_format_top(snapshots[-1]))
-            return 0
-        shown = False
-        for record in tail_records(args.stream, follow=True,
-                                   poll=args.interval,
-                                   max_seconds=args.max_seconds):
-            if record.get("schema") != SNAPSHOT_SCHEMA:
-                continue
-            if shown:
-                print()
-            print(_format_top(record), flush=True)
-            shown = True
-        if not shown:
-            print(f"error: {args.stream}: no snapshot records",
-                  file=sys.stderr)
-            return EXIT_ERROR
-    except OSError as error:
-        print(f"error: {args.stream}: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the CLI; returns the process exit code (see module docstring)."""
     args = build_parser().parse_args(argv)
@@ -440,10 +253,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_profile(args)
     if args.command == "history":
         return _cmd_history(args)
-    if args.command == "tail":
-        return _cmd_tail(args)
-    if args.command == "top":
-        return _cmd_top(args)
     return EXIT_ERROR  # pragma: no cover - argparse enforces the choices
 
 

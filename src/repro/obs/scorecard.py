@@ -339,12 +339,11 @@ def schedule_audit_scorecard(name: str, *, serializations_taken: int,
     serialize is exactly the silent physics regression this exists to
     catch.
 
-    ``strategy`` names how the schedule was produced (``"monolithic"``,
-    ``"windowed"``, ``"portfolio"``): decomposed and raced schedules are
-    graded by exactly the same taken/warranted arithmetic as monolithic
-    ones, so the strategy rides along as detail (and a ``strategy_code``
-    metric so history diffs see strategy flips), never as a different
-    grading rule.
+    ``strategy`` names how the schedule was produced (``"monolithic"`` or
+    ``"windowed"``): decomposed schedules are graded by exactly the same
+    taken/warranted arithmetic as monolithic ones, so the strategy rides
+    along as detail (and a ``strategy_code`` metric so history diffs see
+    strategy flips), never as a different grading rule.
     """
     warranted = max(0, serializations_warranted)
     taken = max(0, serializations_taken)
@@ -357,7 +356,7 @@ def schedule_audit_scorecard(name: str, *, serializations_taken: int,
     details: Dict[str, Any] = {}
     if strategy is not None:
         details["strategy"] = strategy
-        codes = {"monolithic": 0.0, "windowed": 1.0, "portfolio": 2.0}
+        codes = {"monolithic": 0.0, "windowed": 1.0}
         if strategy in codes:
             metrics["strategy_code"] = codes[strategy]
     if extra_metrics:

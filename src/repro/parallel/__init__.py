@@ -13,11 +13,6 @@ from repro.parallel.engine import (
     resolve_min_parallel_seconds,
     resolve_workers,
 )
-from repro.parallel.race import (
-    RaceOutcome,
-    RaceResult,
-    race_to_first_good,
-)
 from repro.parallel.seeding import (
     stable_entropy,
     stable_rng,
@@ -28,10 +23,7 @@ __all__ = [
     "MIN_PARALLEL_ENV",
     "MODE_CODES",
     "ParallelEngine",
-    "RaceOutcome",
-    "RaceResult",
     "WORKERS_ENV",
-    "race_to_first_good",
     "resolve_min_parallel_seconds",
     "resolve_workers",
     "stable_entropy",

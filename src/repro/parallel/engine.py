@@ -21,9 +21,9 @@ campaign stage, or a session root.  Per-task queue and execution timings
 additionally feed the process-wide
 :class:`~repro.obs.registry.MetricsRegistry` histograms
 ``parallel.task.queue_seconds`` and ``parallel.task.exec_seconds``, and
-metric deltas recorded *inside* pool workers (``rb.*`` counters, solver
-counters) are shipped back per task and merged into the parent-process
-registry — registry totals are worker-count invariant.
+metric deltas recorded *inside* pool workers (``rb.*`` counters) are
+shipped back per task and merged into the parent-process registry —
+registry totals are worker-count invariant.
 
 Worker count resolution order: explicit ``workers=`` keyword, then the
 ``REPRO_WORKERS`` environment variable, then serial.  Inside a pool worker
@@ -75,7 +75,6 @@ import pickle
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
@@ -84,9 +83,6 @@ from typing import (
 import os
 
 from repro.obs.events import log_event
-from repro.obs.live.heartbeat import (
-    heartbeat, heartbeat_step, poll_interval as live_poll_interval,
-)
 from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
 from repro.resilience.errors import RemoteTaskError, TaskFailure, WorkerCrashError
@@ -358,10 +354,6 @@ class ParallelEngine:
                 )
         registry = get_registry()
         results: List[Any] = [None] * len(work)
-        # tasks_done/tasks_submitted reset per map so the board's done/total
-        # pair always describes the map in flight, not the site's lifetime.
-        heartbeat(self._site, status="mapping", tasks_total=len(work),
-                  tasks_done=0, tasks_submitted=0, workers=self.workers)
         with obs_span(f"parallel.map[{self.name}]") as record:
             record.counters["parallel.map.workers"] = float(self.workers)
             record.counters["parallel.map.tasks"] = float(len(work))
@@ -397,7 +389,6 @@ class ParallelEngine:
                         self.close()
                         raise
             wall = time.perf_counter() - started
-            heartbeat(self._site, status="idle")
             self.counters["parallel.tasks"] += float(len(work))
             self.counters["parallel.wall_seconds"] += wall
             record.counters["parallel.map.wall_seconds"] = wall
@@ -479,7 +470,6 @@ class ParallelEngine:
                     failure = self._terminal_failure(
                         i, key, attempts, error, traceback.format_exc(),
                     )
-                    heartbeat_step(self._site, "tasks_done")
                     if return_failures:
                         results[i] = failure
                         break
@@ -491,29 +481,10 @@ class ParallelEngine:
                     record.add("parallel.map.exec_seconds", seconds)
                     registry.observe("parallel.task.exec_seconds", seconds)
                     registry.inc("parallel.tasks")
-                    heartbeat_step(self._site, "tasks_done")
                     results[i] = value
                     if on_result is not None:
                         on_result(i, value)
                     break
-
-    def _await_result(self, future):
-        """``future.result()``, but with mid-map liveness heartbeats.
-
-        While a live plane is active the wait polls on the board's
-        ``poll_interval`` and beats ``status="waiting"`` on every
-        timeout, so a stalled worker is visible in snapshots *before* any
-        watchdog fires.  With no active board this is a plain blocking
-        ``result()`` — identical to the pre-live behavior.
-        """
-        while True:
-            interval = live_poll_interval()
-            if interval is None:
-                return future.result()
-            try:
-                return future.result(timeout=interval)
-            except FutureTimeoutError:
-                heartbeat(self._site, status="waiting")
 
     def _map_pool(self, fn, work, context, keys, on_result,
                   return_failures, record, registry,
@@ -544,17 +515,14 @@ class ParallelEngine:
                 round_directives[i] = directive
                 submitted.append(time.time())
                 futures.append(pool.submit(_run_task, fn, i, work[i], directive))
-                heartbeat_step(self._site, "tasks_submitted")
             broken: Optional[BaseException] = None
             round_delay = 0.0
             for future, submit_ts in zip(futures, submitted):
                 try:
-                    index, payload, seconds, start_ts, delta = \
-                        self._await_result(future)
+                    index, payload, seconds, start_ts, delta = future.result()
                 except BrokenProcessPool as error:
                     broken = error
                     continue
-                heartbeat_step(self._site, "tasks_done")
                 queue_seconds = max(0.0, start_ts - submit_ts)
                 self.counters["parallel.serial_seconds_estimate"] += seconds
                 record.add("parallel.map.exec_seconds", seconds)

@@ -32,15 +32,11 @@ from repro.smt.budget import Budget
 from repro.smt.backends import (
     ExactBnB,
     GreedyDive,
-    LocalSearch,
     SolveRequest,
-    SolveResult,
     SolverBackend,
 )
 from repro.smt.solver import OptimizingSolver, Solution
 from repro.smt.windows import WindowedSolver, WindowPlan, plan_windows
-from repro.smt.portfolio import PortfolioSolver
-from repro.smt.smtlib import model_to_smtlib, assignment_to_smtlib_asserts
 
 __all__ = [
     "DiffConstraint",
@@ -51,16 +47,11 @@ __all__ = [
     "Budget",
     "SolverBackend",
     "SolveRequest",
-    "SolveResult",
     "ExactBnB",
     "GreedyDive",
-    "LocalSearch",
     "WindowedSolver",
     "WindowPlan",
     "plan_windows",
-    "PortfolioSolver",
     "OptimizingSolver",
     "Solution",
-    "model_to_smtlib",
-    "assignment_to_smtlib_asserts",
 ]

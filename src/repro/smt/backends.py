@@ -1,28 +1,21 @@
-"""Interchangeable solver backends behind one request/result contract.
+"""Interchangeable solver backends behind one request/solution contract.
 
 :class:`~repro.smt.solver.OptimizingSolver` historically owned two search
 strategies as private methods (exact branch-and-bound and a greedy fast
-dive).  Device-scale scheduling needs more — windowed decomposition, local
-search, warm-started variants, and portfolio races over all of them — so
-the strategies live here as :class:`SolverBackend` implementations sharing
-a :class:`SolveRequest`/:class:`Solution` contract that carries the model,
+dive).  Device-scale scheduling also needs windowed decomposition, so the
+strategies live here as :class:`SolverBackend` implementations sharing a
+:class:`SolveRequest`/:class:`Solution` contract that carries the model,
 the monotone partial-cost callback, the (single, shared)
-:class:`~repro.smt.budget.Budget`, an optional incumbent to beat, and an
-optional warm-start hint.
+:class:`~repro.smt.budget.Budget`, and an optional incumbent to beat.
 
-Backends are small, configuration-only objects: they hold no model state,
-so they pickle cleanly and can be shipped to pool workers by the portfolio
-race (:func:`repro.parallel.race.race_to_first_good`).  All of them are
-deterministic — same request, same answer, on any worker.
+Backends are small, configuration-only objects that hold no model state.
+All of them are deterministic: same request, same answer.
 
 * :class:`ExactBnB` — depth-first branch-and-bound with LP bounding,
   seeded by a greedy incumbent (or ``request.incumbent``); exact within
   ``max_nodes`` / budget.
 * :class:`GreedyDive` — one pass of best-bound decisions, no
   backtracking; the historical large-instance mode.
-* :class:`LocalSearch` — starts from the warm-start hint (or a greedy
-  dive) and hill-climbs single-decision flips until a fixpoint, the
-  budget expires, or ``max_rounds`` passes run dry.
 
 The windowed-decomposition backend lives in :mod:`repro.smt.windows`
 (it layers on top of the primitives here).
@@ -37,9 +30,8 @@ earliest, so the times are a pure function of the constraint set.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,8 +90,8 @@ class SolveRequest:
 
     One request is built per logical solve and shared by every backend
     that works on it (the exact search's internal greedy incumbent, every
-    portfolio entrant, every decomposition window), so the ``budget``
-    clock is armed exactly once no matter how many layers run.
+    decomposition window), so the ``budget`` clock is armed exactly once
+    no matter how many layers run.
     """
 
     model: ScheduleModel
@@ -109,22 +101,9 @@ class SolveRequest:
     max_nodes: int = 200_000
     #: A known-good solution to beat (seeds B&B pruning).
     incumbent: Optional[Solution] = None
-    #: Warm-start hint: decision name -> option label (e.g. from the
-    #: previous calibration epoch's schedule).  Backends that honour it
-    #: fall back per-decision when a hinted option is missing/infeasible.
-    hint: Optional[Mapping[str, str]] = None
 
     def cost(self, assignment: Sequence[int]) -> float:
         return self.partial_cost(tuple(assignment))
-
-
-@dataclass
-class SolveResult:
-    """A backend's answer plus attribution, for race bookkeeping."""
-
-    solution: Solution
-    backend: str
-    seconds: float
 
 
 # ----------------------------------------------------------------------
@@ -311,58 +290,14 @@ def evaluate(request: SolveRequest, assignment: Sequence[int],
     )
 
 
-def assignment_from_hint(request: SolveRequest) -> Optional[List[int]]:
-    """Build a complete, feasible assignment from ``request.hint``.
-
-    Hinted options are taken when present and feasible given the prefix;
-    every other decision falls back to its first feasible option.  Returns
-    None when no hint was supplied at all.
-    """
-    hint = request.hint
-    if not hint:
-        return None
-    model = request.model
-    assignment: List[int] = []
-    for decision in model.decisions:
-        choice: Optional[int] = None
-        label = hint.get(decision.name)
-        if label is not None:
-            for k, option in enumerate(decision.options):
-                if option.label == label:
-                    feasible = difference_feasible(
-                        model.num_vars,
-                        model.constraints_for(assignment + [k]),
-                    )
-                    if feasible is not None:
-                        choice = k
-                    break
-        if choice is None:
-            choice = first_feasible(model, assignment, decision)
-        assignment.append(choice)
-    return assignment
-
-
 # ----------------------------------------------------------------------
 # backends
 # ----------------------------------------------------------------------
 class SolverBackend:
-    """Base class: a named, deterministic, picklable solve strategy."""
-
-    #: Stable backend identifier; doubles as the canonical race key.
-    name = "backend"
+    """Base class: a deterministic solve strategy."""
 
     def solve(self, request: SolveRequest) -> Solution:
         raise NotImplementedError
-
-    def run(self, request: SolveRequest) -> SolveResult:
-        """:meth:`solve` wrapped with wall-time attribution."""
-        started = time.perf_counter()
-        solution = self.solve(request)
-        return SolveResult(
-            solution=solution,
-            backend=self.name,
-            seconds=time.perf_counter() - started,
-        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -376,8 +311,6 @@ class GreedyDive(SolverBackend):
     no longer cost-guided — and the result is marked
     ``interrupt="deadline"``.
     """
-
-    name = "greedy"
 
     def solve(self, request: SolveRequest) -> Solution:
         model = request.model
@@ -431,8 +364,6 @@ class ExactBnB(SolverBackend):
     returned with the interrupt reason recorded.
     """
 
-    name = "exact"
-
     def solve(self, request: SolveRequest) -> Solution:
         model = request.model
         budget = request.budget
@@ -440,7 +371,7 @@ class ExactBnB(SolverBackend):
         state = {"nodes": 0, "interrupted": False, "reason": None}
         try:
             # Incumbent first: dramatically improves pruning.  The caller
-            # may supply one (warm start / race seeding); otherwise dive.
+            # may supply one; otherwise dive.
             incumbent = request.incumbent
             if incumbent is None:
                 incumbent = GreedyDive().solve(request)
@@ -506,81 +437,4 @@ class ExactBnB(SolverBackend):
             nodes_explored=state["nodes"],
             exact=not state["interrupted"],
             interrupt=state["reason"],
-        )
-
-
-class LocalSearch(SolverBackend):
-    """Hill-climbing over single-decision flips.
-
-    Starts from the warm-start hint when the request carries one (the
-    previous calibration epoch's schedule), else from a greedy dive, then
-    repeatedly re-decides each decision to its best option given all the
-    others until a full pass improves nothing, the budget expires, or
-    ``max_rounds`` passes complete.  ``nodes_explored`` counts LP
-    evaluations.
-    """
-
-    name = "local_search"
-
-    def __init__(self, max_rounds: int = 8):
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        self.max_rounds = max_rounds
-
-    def __repr__(self) -> str:
-        return f"LocalSearch(max_rounds={self.max_rounds})"
-
-    def solve(self, request: SolveRequest) -> Solution:
-        model = request.model
-        budget = request.budget
-        armed = budget.arm()
-        interrupt: Optional[str] = None
-        evals = 0
-        try:
-            start = assignment_from_hint(request)
-            if start is not None:
-                current = evaluate(request, start)
-            else:
-                current = None
-            if current is None:
-                dive = GreedyDive().solve(request)
-                current = dive
-                if dive.interrupt is not None:
-                    interrupt = dive.interrupt
-            assignment = list(current.assignment)
-            objective = current.objective
-            for _ in range(self.max_rounds):
-                improved = False
-                for k, decision in enumerate(model.decisions):
-                    if budget.expired():
-                        interrupt = "deadline"
-                        break
-                    held = assignment[k]
-                    for option in range(len(decision.options)):
-                        if option == held:
-                            continue
-                        assignment[k] = option
-                        candidate = evaluate(request, assignment)
-                        evals += 1
-                        if (candidate is not None
-                                and candidate.objective < objective - 1e-12):
-                            objective = candidate.objective
-                            current = candidate
-                            held = option
-                            improved = True
-                        assignment[k] = held
-                if interrupt == "deadline" or not improved:
-                    break
-        finally:
-            if armed:
-                budget.disarm()
-        return Solution(
-            assignment=current.assignment,
-            times=current.times,
-            objective=current.objective,
-            constant_part=current.constant_part,
-            linear_part=current.linear_part,
-            nodes_explored=max(evals, current.nodes_explored),
-            exact=len(model.decisions) == 0 and interrupt is None,
-            interrupt=interrupt,
         )

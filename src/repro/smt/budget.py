@@ -1,8 +1,9 @@
 """The solver's single owned time budget.
 
 A nested solve (the exact search seeding itself with a greedy incumbent,
-or a portfolio racing several backends) must not re-arm an already-running
-clock and silently extend the budget, so :class:`Budget` owns the clock.
+or a windowed solve running one exact search per window) must not re-arm
+an already-running clock and silently extend the budget, so
+:class:`Budget` owns the clock.
 One instance is created per logical solve (the scheduler builds it from
 ``max_solve_seconds``; a standalone ``OptimizingSolver`` owns an unlimited
 one unless handed ``budget=``), every layer shares that instance, and
@@ -10,10 +11,7 @@ one unless handed ``budget=``), every layer shares that instance, and
 nested layers can never extend it.  An unlimited budget (``seconds=None``)
 never arms and never expires.
 
-Deadlines are ``time.monotonic``-based.  On Linux ``CLOCK_MONOTONIC`` is
-system-wide, so a pickled armed budget keeps meaning the same instant
-inside pool workers — the portfolio race relies on this to give every
-raced backend the *same* clock rather than a fresh one per process.
+Deadlines are ``time.monotonic``-based.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ depth-first search is exact.
 
 The search strategies themselves live in :mod:`repro.smt.backends`
 (:class:`~repro.smt.backends.ExactBnB`,
-:class:`~repro.smt.backends.GreedyDive`,
-:class:`~repro.smt.backends.LocalSearch`) behind the
+:class:`~repro.smt.backends.GreedyDive`) behind the
 :class:`~repro.smt.backends.SolveRequest` contract; this class keeps the
 ``solve()`` auto-switch (exact below ``exact_decision_limit`` decisions,
 greedy above) and the ``smt.solve`` observability envelope, and hands every
@@ -30,7 +29,6 @@ import time
 from typing import Optional
 
 from repro.obs.events import log_event
-from repro.obs.live.heartbeat import heartbeat
 from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
 from repro.smt.backends import (
@@ -61,17 +59,13 @@ class OptimizingSolver:
     def __init__(self, model: ScheduleModel, partial_cost: Optional[PartialCost] = None,
                  exact_decision_limit: int = 14, max_nodes: int = 200_000,
                  budget: Optional[Budget] = None,
-                 backend: Optional[SolverBackend] = None,
-                 hint=None):
+                 backend: Optional[SolverBackend] = None):
         self.model = model
         self.partial_cost = partial_cost or zero_cost
         self.exact_decision_limit = exact_decision_limit
         self.max_nodes = max_nodes
         self.budget = budget if budget is not None else Budget()
         self.backend = backend
-        #: Warm-start hint (decision name -> option label), forwarded to
-        #: backends that honour it (LocalSearch, portfolio warm entrants).
-        self.hint = hint
 
     # ------------------------------------------------------------------
     def request(self, incumbent: Optional[Solution] = None) -> SolveRequest:
@@ -83,7 +77,6 @@ class OptimizingSolver:
             exact_decision_limit=self.exact_decision_limit,
             max_nodes=self.max_nodes,
             incumbent=incumbent,
-            hint=self.hint,
         )
 
     # ------------------------------------------------------------------
@@ -99,9 +92,6 @@ class OptimizingSolver:
         """
         model = self.model
         with obs_span("smt.solve") as record:
-            heartbeat("smt.solve", status="solving",
-                      decisions=len(model.decisions),
-                      constraints=len(model.base_constraints))
             started = time.perf_counter()
             if self.backend is not None:
                 solution = self.backend.solve(self.request())
@@ -110,8 +100,6 @@ class OptimizingSolver:
             else:
                 solution = self.solve_greedy()
             seconds = time.perf_counter() - started
-            heartbeat("smt.solve", status="done", seconds=seconds,
-                      nodes=solution.nodes_explored)
             record.counters.update({
                 "smt.solve.seconds": seconds,
                 "smt.solve.nodes": float(solution.nodes_explored),

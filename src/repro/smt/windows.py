@@ -109,9 +109,7 @@ class _WindowView:
 
     Exposes ``model.decisions[start:stop]`` as the full decision list while
     delegating ``constraints_for`` with the frozen ``prefix`` prepended, so
-    any backend can solve the window unmodified.  Module-level (and holding
-    only the model + plain data) so windowed requests pickle for the
-    portfolio race.
+    the exact search solves the window unmodified.
     """
 
     def __init__(self, model: ScheduleModel, prefix: Sequence[int],
@@ -129,7 +127,7 @@ class _WindowView:
 
 
 class _WindowCost:
-    """``partial_cost`` with the frozen prefix prepended (picklable)."""
+    """``partial_cost`` with the frozen prefix prepended."""
 
     def __init__(self, partial_cost, prefix: Sequence[int]):
         self._cost = partial_cost
@@ -142,24 +140,20 @@ class _WindowCost:
 class WindowedSolver(SolverBackend):
     """Blockwise-exact solve over a :func:`plan_windows` partition.
 
-    Each window is solved by ``inner`` (default
-    :class:`~repro.smt.backends.ExactBnB`) with every earlier window's
-    assignment frozen as a prefix; the shared budget is armed once here so
-    inner solves can never extend it.  Emits an ``smt.windows`` span with
-    ``smt.window.*`` counters and one ``smt.window.plan`` event.
+    Each window is solved by :class:`~repro.smt.backends.ExactBnB` with
+    every earlier window's assignment frozen as a prefix; the shared budget
+    is armed once here so window solves can never extend it.  Emits an
+    ``smt.windows`` span with ``smt.window.*`` counters and one
+    ``smt.window.plan`` event.
     """
 
-    name = "windowed"
-
-    def __init__(self, cap: Optional[int] = None,
-                 inner: Optional[SolverBackend] = None):
+    def __init__(self, cap: Optional[int] = None):
         if cap is not None and cap < 1:
             raise ValueError("window cap must be >= 1")
         self.cap = cap
-        self.inner = inner if inner is not None else ExactBnB()
 
     def __repr__(self) -> str:
-        return f"WindowedSolver(cap={self.cap}, inner={self.inner!r})"
+        return f"WindowedSolver(cap={self.cap})"
 
     def solve(self, request: SolveRequest) -> Solution:
         model = request.model
@@ -174,7 +168,6 @@ class WindowedSolver(SolverBackend):
         interrupt: Optional[str] = None
         try:
             with obs_span("smt.windows") as record:
-                hint = request.hint
                 for start, stop in plan.windows:
                     view = _WindowView(model, assignment, start, stop)
                     sub = SolveRequest(
@@ -184,9 +177,8 @@ class WindowedSolver(SolverBackend):
                         budget=budget,
                         exact_decision_limit=request.exact_decision_limit,
                         max_nodes=request.max_nodes,
-                        hint=hint,
                     )
-                    result = self.inner.solve(sub)
+                    result = ExactBnB().solve(sub)
                     assignment.extend(result.assignment)
                     nodes += result.nodes_explored
                     if result.interrupt is not None:

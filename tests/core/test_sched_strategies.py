@@ -1,11 +1,11 @@
-"""Scheduling strategies: windowed/portfolio parity, determinism, scale.
+"""Scheduling strategies: windowed parity, determinism, scale.
 
 The acceptance bar for the device-scale refactor:
 
-* on models small enough for exact B&B, windowed and portfolio schedules
-  land within 5% of the exact objective (here they match it exactly);
-* every strategy is worker-count invariant (``REPRO_WORKERS=1,2,4``) and
-  repeat-run stable;
+* on models small enough for exact B&B, windowed schedules land within
+  5% of the exact objective (here they match it exactly);
+* the windowed strategy is worker-count invariant (``REPRO_WORKERS=1,2,4``)
+  and repeat-run stable;
 * a supremacy-style circuit on a heavy-hex stress preset schedules to
   completion under a real ``max_solve_seconds`` budget via
   ``strategy="auto"`` with interrupt/fallback reasons recorded — no
@@ -47,9 +47,10 @@ def schedule_with(poughkeepsie, pk_report, **kwargs):
 
 class TestStrategyKnob:
     def test_unknown_strategy_rejected(self, poughkeepsie, pk_report):
-        with pytest.raises(ValueError, match="strategy"):
-            XtalkScheduler(
-                poughkeepsie.calibration(), pk_report, strategy="psychic")
+        for strategy in ("psychic", "portfolio"):
+            with pytest.raises(ValueError, match="strategy"):
+                XtalkScheduler(
+                    poughkeepsie.calibration(), pk_report, strategy=strategy)
 
     @pytest.mark.parametrize("strategy",
                              [s for s in STRATEGIES if s != "monolithic"])
@@ -107,18 +108,16 @@ class TestStrategyKnob:
 
 
 class TestObjectiveParity:
-    """Windowed/portfolio within 5% of exact on small models (abs-scaled:
-    the log-error objective is negative)."""
+    """Windowed within 5% of exact on small models (abs-scaled: the
+    log-error objective is negative)."""
 
-    def test_windowed_and_portfolio_match_exact(
-            self, poughkeepsie, pk_report):
+    def test_windowed_matches_exact(self, poughkeepsie, pk_report):
         exact = schedule_with(poughkeepsie, pk_report, strategy="monolithic")
         assert exact.solution.exact
         reference = exact.solution.objective
-        for strategy in ("windowed", "portfolio"):
-            result = schedule_with(poughkeepsie, pk_report, strategy=strategy)
-            assert abs(result.solution.objective - reference) <= \
-                0.05 * abs(reference)
+        result = schedule_with(poughkeepsie, pk_report, strategy="windowed")
+        assert abs(result.solution.objective - reference) <= \
+            0.05 * abs(reference)
 
     def test_tiny_windows_still_within_5pct(self, poughkeepsie, pk_report):
         exact = schedule_with(poughkeepsie, pk_report, strategy="monolithic")
@@ -130,7 +129,7 @@ class TestObjectiveParity:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("strategy", ["windowed", "portfolio"])
+    @pytest.mark.parametrize("strategy", ["windowed"])
     def test_repeated_runs_bitwise_identical(
             self, poughkeepsie, pk_report, strategy):
         a = schedule_with(poughkeepsie, pk_report, strategy=strategy)
@@ -143,45 +142,15 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", ["1", "2", "4"])
     def test_schedules_worker_count_invariant(
             self, poughkeepsie, pk_report, workers, monkeypatch):
-        """REPRO_WORKERS must not change any strategy's schedule."""
+        """REPRO_WORKERS must not change the windowed schedule."""
         monkeypatch.setenv("REPRO_WORKERS", workers)
-        results = {}
-        for strategy in ("windowed", "portfolio"):
-            result = schedule_with(poughkeepsie, pk_report, strategy=strategy)
-            results[strategy] = (
-                result.solution.assignment,
-                result.solution.objective,
-                result.option_labels,
-            )
+        result = schedule_with(poughkeepsie, pk_report, strategy="windowed")
+        pinned = (result.solution.assignment, result.solution.objective,
+                  result.option_labels)
         monkeypatch.delenv("REPRO_WORKERS")
-        baseline = {}
-        for strategy in ("windowed", "portfolio"):
-            result = schedule_with(poughkeepsie, pk_report, strategy=strategy)
-            baseline[strategy] = (
-                result.solution.assignment,
-                result.solution.objective,
-                result.option_labels,
-            )
-        assert results == baseline
-
-
-class TestWarmStart:
-    def test_previous_schedule_seeds_next_epoch(self, poughkeepsie, pk_report):
-        first = schedule_with(poughkeepsie, pk_report, strategy="monolithic")
-        hint = first.warm_start_hint()
-        assert hint  # busy_circuit has real decisions
-        assert all(name.startswith("pair_") for name in hint)
-        warm = schedule_with(
-            poughkeepsie, pk_report, strategy="portfolio", warm_start=first)
-        assert warm.solution.objective == pytest.approx(
-            first.solution.objective)
-
-    def test_mapping_accepted_directly(self, poughkeepsie, pk_report):
-        first = schedule_with(poughkeepsie, pk_report, strategy="monolithic")
-        warm = schedule_with(
-            poughkeepsie, pk_report, strategy="portfolio",
-            warm_start=dict(first.warm_start_hint()))
-        assert warm.fallback_reason is None
+        result = schedule_with(poughkeepsie, pk_report, strategy="windowed")
+        assert pinned == (result.solution.assignment,
+                          result.solution.objective, result.option_labels)
 
 
 @pytest.fixture(scope="module")

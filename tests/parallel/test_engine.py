@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs.registry import push_registry
+from repro.obs.registry import MetricsRegistry, push_registry
 from repro.parallel import (
     ParallelEngine,
     WORKERS_ENV,
@@ -38,6 +38,14 @@ def _boom(context, item):
 def _nested_workers(context, item):
     # Inside a pool worker the engine must refuse to nest another pool.
     return resolve_workers(8)
+
+
+def _counted(context, item):
+    # A worker-side metric: its delta ships back with the task's result.
+    from repro.obs.registry import get_registry
+
+    get_registry().inc("test.engine.calls")
+    return item + 1
 
 
 class TestResolveWorkers:
@@ -198,3 +206,31 @@ class TestSerialFallback:
         assert results[0] == 1 and results[2] == 3
         assert isinstance(results[1], TaskFailure)
         assert results[1].task_index == 1
+
+
+class TestWorkerMetrics:
+    """Worker-side metric deltas merge into the parent once per task."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_merged_once_per_task(self, workers):
+        with push_registry(MetricsRegistry()) as registry:
+            with ParallelEngine(workers, name="m",
+                                min_parallel_seconds=0.0) as engine:
+                results = engine.map(_counted, list(range(8)))
+        assert results == [i + 1 for i in range(8)]
+        assert registry.counter("test.engine.calls").value == 8
+
+    def test_worker_death_merges_each_success_once(self):
+        from repro.resilience import FaultInjector, FaultPlan, RetryPolicy
+
+        injector = FaultInjector(
+            FaultPlan.single("worker_death", rate=0.3, max_failures=1, seed=7)
+        )
+        with push_registry(MetricsRegistry()) as registry:
+            with ParallelEngine(2, name="m", retry=RetryPolicy.fast(),
+                                faults=injector,
+                                min_parallel_seconds=0.0) as engine:
+                results = engine.map(_counted, list(range(10)))
+        assert results == [i + 1 for i in range(10)]
+        assert any(d.kind == "worker_death" for d in injector.injected)
+        assert registry.counter("test.engine.calls").value == 10

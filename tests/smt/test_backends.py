@@ -1,4 +1,4 @@
-"""Backend protocol tests: exact/greedy/local-search, windows, portfolio."""
+"""Backend protocol tests: exact/greedy and windowed decomposition."""
 
 import itertools
 import pickle
@@ -8,14 +8,11 @@ import pytest
 from repro.smt.backends import (
     ExactBnB,
     GreedyDive,
-    LocalSearch,
     SolveRequest,
-    assignment_from_hint,
     lp_minimize,
 )
 from repro.smt.budget import Budget
 from repro.smt.model import Decision, DiffConstraint, Option, ScheduleModel
-from repro.smt.portfolio import PortfolioSolver
 from repro.smt.windows import WindowedSolver, plan_windows
 
 
@@ -54,13 +51,6 @@ def chain_model(num_decisions=6, penalty=1.5):
 
 
 class TestBackendContract:
-    def test_run_wraps_solution_with_attribution(self):
-        model, cost = chain_model(3)
-        result = GreedyDive().run(SolveRequest(model, cost))
-        assert result.backend == "greedy"
-        assert result.seconds >= 0.0
-        assert len(result.solution.assignment) == 3
-
     def test_exact_matches_brute_force(self):
         model, cost = chain_model(5)
         solution = ExactBnB().solve(SolveRequest(model, cost))
@@ -79,45 +69,6 @@ class TestBackendContract:
         clone = pickle.loads(pickle.dumps(request))
         assert len(clone.model.decisions) == 3
         assert clone.budget.seconds == 5.0
-
-
-class TestLocalSearch:
-    def test_reaches_optimum_on_chain(self):
-        model, cost = chain_model(5)
-        solution = LocalSearch().solve(SolveRequest(model, cost))
-        assert solution.objective == pytest.approx(brute_force(model, cost))
-
-    def test_hint_start_used(self):
-        model, cost = chain_model(4)
-        exact = ExactBnB().solve(SolveRequest(model, cost))
-        labels = exact.option_labels(model)
-        hint = {d.name: label for d, label in zip(model.decisions, labels)}
-        solution = LocalSearch().solve(SolveRequest(model, cost, hint=hint))
-        assert solution.objective == pytest.approx(exact.objective)
-
-    def test_partial_and_infeasible_hint_falls_back(self):
-        model, cost = chain_model(4)
-        hint = {"d1": "overlap", "d2": "no_such_label"}
-        assignment = assignment_from_hint(SolveRequest(model, cost, hint=hint))
-        assert len(assignment) == 4
-        assert assignment[1] == 1  # the honoured hint
-
-    def test_deterministic(self):
-        model, cost = chain_model(6)
-        a = LocalSearch().solve(SolveRequest(model, cost))
-        b = LocalSearch().solve(SolveRequest(model, cost))
-        assert a.assignment == b.assignment
-
-    def test_budget_zero_still_returns_valid_assignment(self):
-        model, cost = chain_model(5)
-        budget = Budget(0.0)
-        solution = LocalSearch().solve(SolveRequest(model, cost, budget=budget))
-        assert solution.interrupt == "deadline"
-        assert len(solution.assignment) == 5
-
-    def test_max_rounds_validated(self):
-        with pytest.raises(ValueError, match="max_rounds"):
-            LocalSearch(max_rounds=0)
 
 
 class TestPlanWindows:
@@ -186,46 +137,5 @@ class TestWindowedSolver:
         model, cost = chain_model(9)
         a = WindowedSolver(cap=3).solve(SolveRequest(model, cost))
         b = WindowedSolver(cap=3).solve(SolveRequest(model, cost))
-        assert a.assignment == b.assignment
-        assert a.objective == b.objective
-
-
-class TestPortfolioSolver:
-    def test_exact_entrant_wins_small_models(self):
-        model, cost = chain_model(5)
-        portfolio = PortfolioSolver()
-        solution = portfolio.solve(SolveRequest(model, cost))
-        assert portfolio.last_race.winner_key == "00-exact"
-        assert solution.objective == pytest.approx(brute_force(model, cost))
-
-    def test_windowed_wins_beyond_exact_limit(self):
-        model, cost = chain_model(6)
-        portfolio = PortfolioSolver()
-        request = SolveRequest(model, cost, exact_decision_limit=2)
-        solution = portfolio.solve(request)
-        assert portfolio.last_race.winner_key == "10-windowed"
-        assert len(solution.assignment) == 6
-
-    def test_warm_entrant_joins_with_hint(self):
-        model, cost = chain_model(4)
-        hint = {d.name: "overlap" for d in model.decisions}
-        portfolio = PortfolioSolver()
-        portfolio.solve(SolveRequest(model, cost, hint=hint))
-        keys = [o.key for o in portfolio.last_race.outcomes]
-        assert "20-local-warm" in keys
-
-    def test_zero_budget_degrades_without_raising(self):
-        model, cost = chain_model(6)
-        budget = Budget(0.0)
-        portfolio = PortfolioSolver()
-        solution = portfolio.solve(SolveRequest(model, cost, budget=budget))
-        assert solution.interrupt == "deadline"
-        assert len(solution.assignment) == 6
-        assert not budget.armed
-
-    def test_repeated_runs_identical(self):
-        model, cost = chain_model(6)
-        a = PortfolioSolver().solve(SolveRequest(model, cost))
-        b = PortfolioSolver().solve(SolveRequest(model, cost))
         assert a.assignment == b.assignment
         assert a.objective == b.objective
