@@ -22,6 +22,7 @@ inverse plus a Pauli sign fix) so RB sequences can always be closed.
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -269,6 +270,12 @@ def _gate_tableau(num_qubits: int, name: str, qubits: Tuple[int, ...]) -> Cliffo
     return CliffordTableau(mat, phase)
 
 
+#: Guards the lazily filled :meth:`CliffordGroup.gate_table` rows: two
+#: threads filling at once would each append to the table they read and
+#: publish offsets into rows the other's table lacks.
+_GATE_TABLE_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class CliffordElement:
     """One group element: its tableau and a CNOT-minimal decomposition."""
@@ -291,8 +298,15 @@ class CliffordGroup:
         self.num_qubits = num_qubits
         self.elements: List[CliffordElement] = []
         self._index_of: Dict[bytes, int] = {}
-        self._gate_suffixes: Dict[int, np.ndarray] = {}
         self._stacked: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # Per-gate rows of the elements drawn so far (see gate_table):
+        # element i owns rows _gate_start[i] : _gate_start[i] + its gate
+        # count; -1 marks an element not yet drawn.
+        self._gate_start: Optional[np.ndarray] = None
+        self._gate_count: Optional[np.ndarray] = None
+        self._gate_kind = np.empty(0, dtype=np.int8)
+        dim = 2 * num_qubits
+        self._gate_suffix = np.empty((0, dim, dim), dtype=np.uint8)
         self._enumerate()
 
     # ------------------------------------------------------------------
@@ -376,7 +390,7 @@ class CliffordGroup:
         The element returned for a row is the one
         :meth:`inverse_element` returns for its product.
         """
-        mats, phases, swaps = self._stacked_tableaux()
+        mats, phases, swaps = self.stacked_tableaux()
         lengths = np.array([len(row) for row in rows])
         if len(rows) == 0 or lengths.min() < 1:
             raise ValueError("every row needs at least one element")
@@ -402,7 +416,7 @@ class CliffordGroup:
             out[b] = self._index_of[key]
         return out
 
-    def _stacked_tableaux(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def stacked_tableaux(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every element's matrix, phases and swap terms, stacked (int64).
 
         Built on the first batched use rather than at enumeration, so
@@ -415,29 +429,63 @@ class CliffordGroup:
             self._stacked = (mats, phases.astype(np.int64), _swap_terms(mats))
         return self._stacked
 
-    def gate_suffixes(self, index: int) -> np.ndarray:
-        """Within-element suffix bit matrices of element ``index``.
+    def gate_table(self, indices: Sequence[int]
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-gate structure of the elements ``indices``, in order.
 
-        Row ``j`` of the ``(len(gates), 2n, 2n)`` result is the GF(2)
-        product of the element's gate tableaux *after* gate ``j``: it maps
-        the (x|z) bits of a Pauli injected right after gate ``j`` to its
-        bits at the end of the element.  Filled on first use and kept per
-        element index, since RB sequences draw the same elements over and
-        over.
+        Returns ``(counts, kinds, suffixes)``.  ``counts[i]`` is the gate
+        count of element ``indices[i]``; the other two run over the
+        elements' gates laid end to end.  ``kinds`` is 0 for a CNOT and
+        ``1 + q`` for a single-qubit gate on qubit ``q``.  ``suffixes`` is
+        ``(total gates, 2n, 2n)``: the GF(2) product of the element's gate
+        tableaux *after* each gate, which maps the (x|z) bits of a Pauli
+        injected right after that gate to its bits at the end of the
+        element.
+
+        An element's rows are computed the first time it is requested and
+        kept in one table per group, so every request is one gather:
+        RB sequences draw the same elements over and over, and elements
+        never drawn cost nothing.
         """
-        suffixes = self._gate_suffixes.get(index)
-        if suffixes is None:
+        indices = np.asarray(indices, dtype=np.intp)
+        with _GATE_TABLE_LOCK:
+            if self._gate_start is None:
+                self._gate_start = np.full(len(self.elements), -1,
+                                           dtype=np.intp)
+                self._gate_count = np.zeros(len(self.elements), dtype=np.intp)
+            new = np.unique(indices[self._gate_start[indices] < 0])
+            if len(new):
+                self._add_gate_rows(new.tolist())
+            counts = self._gate_count[indices]
+            first = np.cumsum(counts) - counts
+            rows = np.arange(counts.sum()) + np.repeat(
+                self._gate_start[indices] - first, counts)
+            return counts, self._gate_kind[rows], self._gate_suffix[rows]
+
+    def _add_gate_rows(self, indices: List[int]) -> None:
+        """Append the :meth:`gate_table` rows of elements ``indices``."""
+        dim = 2 * self.num_qubits
+        kinds: List[int] = []
+        suffixes = [self._gate_suffix]
+        used = len(self._gate_kind)
+        for index in indices:
             gates = self.elements[index].gates
-            dim = 2 * self.num_qubits
-            suffixes = np.empty((len(gates), dim, dim), dtype=np.uint8)
+            self._gate_start[index] = used
+            self._gate_count[index] = len(gates)
+            used += len(gates)
+            block = np.empty((len(gates), dim, dim), dtype=np.uint8)
             acc = np.eye(dim, dtype=np.uint8)
             for j in range(len(gates) - 1, -1, -1):
-                suffixes[j] = acc
+                block[j] = acc
                 name, qubits = gates[j]
                 acc = (_gate_tableau(self.num_qubits, name, qubits).mat
                        @ acc) % 2
-            self._gate_suffixes[index] = suffixes
-        return suffixes
+            suffixes.append(block)
+            kinds.extend(0 if name == "cx" else 1 + qubits[0]
+                         for name, qubits in gates)
+        self._gate_kind = np.concatenate(
+            [self._gate_kind, np.array(kinds, dtype=np.int8)])
+        self._gate_suffix = np.concatenate(suffixes)
 
     def sample(self, rng: np.random.Generator) -> CliffordElement:
         """Uniformly random group element — exact Clifford twirling."""

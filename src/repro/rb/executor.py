@@ -163,79 +163,139 @@ _PLAN_CACHE: Dict[Tuple, _SequencePlan] = {}
 _PLAN_CACHE_LIMIT = 16384
 
 
-def _sequence_plan(seq: RBSequence, n: int,
-                   include_decoherence: bool) -> _SequencePlan:
-    """The :class:`_SequencePlan` of ``seq``, memoized when it is shared.
+def _sequence_plans(sequences: Sequence[RBSequence], n: int,
+                    include_decoherence: bool) -> List[_SequencePlan]:
+    """The :class:`_SequencePlan` of each of ``sequences`` (on ``n`` qubits).
+
+    Plans of shared sequences come from the memo; every other plan is
+    built in one batched pass, and the shared ones among them memoized.
+    """
+    keys = [None if seq.cache_token is None
+            else (seq.cache_token, include_decoherence) for seq in sequences]
+    plans = [None if key is None else _PLAN_CACHE.get(key) for key in keys]
+    todo = [b for b, plan in enumerate(plans) if plan is None]
+    if todo:
+        built = _build_plans([sequences[b] for b in todo], n,
+                             include_decoherence)
+        for b, plan in zip(todo, built):
+            plans[b] = plan
+            if keys[b] is not None:
+                if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
+                    _PLAN_CACHE.clear()
+                _PLAN_CACHE[keys[b]] = plan
+    return plans
+
+
+def _build_plans(sequences: Sequence[RBSequence], n: int,
+                 include_decoherence: bool) -> List[_SequencePlan]:
+    """Build the plans of ``sequences`` together, one numpy pass each step.
 
     A site's x-map is the x-columns of the GF(2) product of every gate
     after it (the x-part of a pushed Pauli is linear in its input bits and
     phases never matter for survival).  That product splits into the
     suffix *within* the site's Clifford element, which the group keeps per
-    element (:meth:`~repro.rb.clifford.CliffordGroup.gate_suffixes`), and
-    the tail product of the elements after it, built with one GF(2)
-    product per element.
+    element (:meth:`~repro.rb.clifford.CliffordGroup.gate_table`), and the
+    tail product of the elements after it.  Tails are built right-aligned
+    — position ``d`` is the ``d``-th layer from a sequence's end — with one
+    stacked product per position over the sequences still running, longest
+    first so those are a prefix, as
+    :meth:`~repro.rb.clifford.CliffordGroup.product_inverses` advances its
+    rows.  Sites are then put in product order by one stable sort on
+    (sequence, class rank), and every array is sliced per sequence.
     """
-    key = None
-    if seq.cache_token is not None:
-        key = (seq.cache_token, include_decoherence)
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            return plan
     group = clifford_group(n)
-    elements = (*seq.elements, seq.inverse)
-    num_layers = len(elements)
-    # tails[k]: x-columns of the product of the elements after layer k.
-    # uint8 products wrap modulo 256, which keeps parity, so one reduction
-    # mod 2 at the end gives the GF(2) products.
-    tails = np.empty((num_layers, 2 * n, n), dtype=np.uint8)
-    tails[-1] = np.eye(2 * n, dtype=np.uint8)[:, :n]
-    for k in range(num_layers - 2, -1, -1):
-        np.matmul(elements[k + 1].tableau.mat, tails[k + 1], out=tails[k])
-    tails &= 1
-    gate_class = np.array([0 if name == "cx" else 1 + qs[0]
-                           for el in elements for name, qs in el.gates],
-                          dtype=np.int64)
-    layer_gates = np.array([len(el.gates) for el in elements])
-    gate_layer = np.repeat(np.arange(num_layers), layer_gates)
-    layer_cx = np.bincount(gate_layer[gate_class == 0], minlength=num_layers)
-    suffixes = np.concatenate([group.gate_suffixes(el.index)
-                               for el in elements])
+    num_seqs = len(sequences)
+    num_layers = np.array([seq.length + 1 for seq in sequences])
+    layer_start = np.cumsum(num_layers) - num_layers
+    layer_seq = np.repeat(np.arange(num_seqs), num_layers)
+    element = np.array([el.index for seq in sequences
+                        for el in (*seq.elements, seq.inverse)])
+    total = len(element)
+    from_end = (layer_start + num_layers - 1)[layer_seq] - np.arange(total)
+
+    # tails[d, r]: x-columns of the product of the last d layers of the
+    # r-th longest sequence.  int64 products wrap modulo 2**64, which keeps
+    # parity, so one reduction mod 2 at the end gives the GF(2) products.
+    order = np.argsort(-num_layers, kind="stable")
+    row = np.empty(num_seqs, dtype=np.intp)
+    row[order] = np.arange(num_seqs)
+    aligned = np.zeros((num_layers.max(), num_seqs), dtype=np.intp)
+    aligned[from_end, row[layer_seq]] = element
+    mats = group.stacked_tableaux()[0]
+    tails = np.empty((num_layers.max(), num_seqs, 2 * n, n), dtype=np.int64)
+    tails[0] = np.eye(2 * n, dtype=np.int64)[:, :n]
+    running = np.searchsorted(-num_layers[order],
+                              -np.arange(1, num_layers.max()), side="left")
+    for d, live in enumerate(running.tolist()):
+        np.matmul(mats[aligned[d, :live]], tails[d, :live],
+                  out=tails[d + 1, :live])
+    # ... and per layer k, in (sequence, layer) order: the tail after k.
+    tails = tails[from_end, row[layer_seq]] & 1
+
+    layer_gates, gate_class, suffixes = group.gate_table(element)
+    gate_layer = np.repeat(np.arange(total), layer_gates)
+    gate_seq = layer_seq[gate_layer]
+    layer_cx = np.bincount(gate_layer[gate_class == 0], minlength=total)
     code_of = 1 << np.arange(2 * n * n)
     gate_code = ((suffixes @ tails[gate_layer]) & 1).reshape(
         len(gate_layer), 2 * n * n) @ code_of
-    # Product order: CNOTs first, then each local qubit's 1q gates in order
-    # of that qubit's first gate.
-    rank = np.zeros(1 + n, dtype=np.int64)
-    for r, c in enumerate(dict.fromkeys(gate_class[gate_class > 0].tolist())):
-        rank[c] = r + 1
-    order = np.argsort(rank[gate_class], kind="stable")
-    classes = [gate_class[order]]
-    layers = [gate_layer[order]]
-    codes = [gate_code[order]]
-    sizes = np.bincount(rank[gate_class])
-    sizes = [sizes[sizes > 0]]
+
+    # Product order: CNOTs first (rank 0), then each local qubit's 1q gates
+    # in order of that qubit's first gate (ranks 1..n), then the idle kick
+    # classes (rank = class id).
+    classes = 1 + 4 * n
+    # first[s, c]: index of sequence s's first gate of class c (past the
+    # last gate when it has none).
+    first = np.full((num_seqs, 1 + n), len(gate_class))
+    present, first_gate = np.unique(gate_seq * (1 + n) + gate_class,
+                                    return_index=True)
+    first.flat[present] = first_gate
+    rank = np.zeros((num_seqs, 1 + n), dtype=np.int64)
+    rank[:, 1:] = 1 + (first[:, None, 1:] < first[:, 1:, None]).sum(axis=2)
+    site_seq = [gate_seq]
+    site_rank = [rank[gate_seq, gate_class]]
+    site_class = [gate_class]
+    site_layer = [gate_layer]
+    site_code = [gate_code]
     if include_decoherence:
         # An idle kick after layer k sees the tail after layer k.
-        idle_classes = np.arange(1 + n, 1 + 4 * n)
-        classes.append(np.repeat(idle_classes, num_layers))
-        layers.append(np.tile(np.arange(num_layers), len(idle_classes)))
-        codes.append(np.tile(tails.reshape(num_layers, -1) @ code_of,
-                             len(idle_classes)))
-        sizes.append(np.full(len(idle_classes), num_layers))
-    site_class = np.concatenate(classes)
-    plan = _SequencePlan(
-        layer_cx=layer_cx,
-        layer_gates=layer_gates,
-        site_class=site_class.astype(np.int8),
-        site_layer=np.concatenate(layers).astype(np.int32),
-        weights=_walsh_table(n)[site_class, np.concatenate(codes)],
-        class_sizes=np.concatenate(sizes),
-    )
-    if key is not None:
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
-            _PLAN_CACHE.clear()
-        _PLAN_CACHE[key] = plan
-    return plan
+        idle_classes = np.arange(1 + n, classes)
+        idle_class = np.repeat(idle_classes, total)
+        idle_layer = np.tile(np.arange(total), len(idle_classes))
+        site_seq.append(layer_seq[idle_layer])
+        site_rank.append(idle_class)
+        site_class.append(idle_class)
+        site_layer.append(idle_layer)
+        site_code.append(np.tile(tails.reshape(total, -1) @ code_of,
+                                 len(idle_classes)))
+    key = np.concatenate(site_seq) * classes + np.concatenate(site_rank)
+    order = np.argsort(key, kind="stable")
+    site_class = np.concatenate(site_class)[order]
+    site_layer = np.concatenate(site_layer)[order]
+    weights = _walsh_table(n)[site_class, np.concatenate(site_code)[order]]
+    site_class = site_class.astype(np.int8)
+    site_layer = (site_layer - layer_start[layer_seq[site_layer]]).astype(
+        np.int32)
+    per_class = np.bincount(key, minlength=num_seqs * classes).reshape(
+        num_seqs, classes)
+    class_sizes = per_class[per_class > 0]
+
+    ends = zip(*(np.cumsum(count).tolist() for count in (
+        num_layers, per_class.sum(axis=1), (per_class > 0).sum(axis=1))))
+    plans = []
+    starts = (0, 0, 0)
+    for stops in ends:
+        layers, sites, sizes = map(slice, starts, stops)
+        plans.append(_SequencePlan(
+            layer_cx=layer_cx[layers],
+            layer_gates=layer_gates[layers],
+            site_class=site_class[sites],
+            site_layer=site_layer[sites],
+            weights=weights[sites],
+            class_sizes=class_sizes[sizes],
+        ))
+        starts = stops
+    return plans
 
 
 Target = Tuple[int, ...]  # one benchmarked gate: (q,) or a coupling edge
@@ -271,8 +331,9 @@ class RBConfig:
       Each sequence is reduced once to a probability-free *plan* (per-layer
       CNOT and gate counts, every error site's layer and Walsh weights),
       memoized under the shared sequence's ``cache_token``; an experiment
-      then scores all ``len(lengths) x num_sequences`` sequence sets in one
-      numpy pass over every error site.
+      builds all of its new plans in one batched pass, then scores all
+      ``len(lengths) x num_sequences`` sequence sets in one numpy pass
+      over every error site.
     * ``"exact-scalar"`` — the pre-vectorization reference implementation
       of the exact estimator: identical mathematics, one Python loop
       iteration per gate and error site.  Kept as the parity reference the
@@ -311,6 +372,18 @@ class RBConfig:
     #: gates is already part of what a calibrated gate error rate measures.
     include_decoherence: bool = False
     include_single_qubit_errors: bool = True
+
+    def __post_init__(self):
+        # Checked here, so a malformed sizing fails where it is written
+        # rather than inside the first experiment, after simulation work.
+        if len(self.lengths) < 3:
+            raise ValueError("need at least three lengths for a stable fit")
+        if min(self.lengths) < 1:
+            raise ValueError("RB length must be at least 1")
+        if self.num_sequences < 1:
+            raise ValueError("need at least one sequence per length")
+        if self.estimate not in ("exact", "exact-scalar", "sampled"):
+            raise ValueError(f"unknown estimate mode {self.estimate!r}")
 
     @classmethod
     def fast(cls) -> "RBConfig":
@@ -532,11 +605,9 @@ class RBExecutor:
                             .tolist()))
         if self.config.estimate == "exact-scalar":
             return self._run_sequences_exact_scalar(edges, seqs)
-        if self.config.estimate == "sampled":
-            return self._run_sequences_sampled(edges, seqs,
-                                               rng if rng is not None
-                                               else self._rng)
-        raise ValueError(f"unknown estimate mode {self.config.estimate!r}")
+        return self._run_sequences_sampled(edges, seqs,
+                                           rng if rng is not None
+                                           else self._rng)
 
     def _sequence_context(self, targets: List[Target],
                           seqs: Dict[Target, RBSequence]):
@@ -635,8 +706,18 @@ class RBExecutor:
         """
         cfg = self.config
         cal = self.device.calibration(self.day)
-        plans = [[_sequence_plan(seqs[t], len(t), cfg.include_decoherence)
-                  for t in targets] for seqs in seq_sets]
+        plans = [[None] * len(targets) for _ in seq_sets]
+        batches = {}  # n -> (set, target) rows and their plans
+        for n in (1, 2):
+            rows = [(s, i) for s in range(len(seq_sets))
+                    for i, t in enumerate(targets) if len(t) == n]
+            if not rows:
+                continue
+            batches[n] = (rows, _sequence_plans(
+                [seq_sets[s][targets[i]] for s, i in rows], n,
+                cfg.include_decoherence))
+            for (s, i), plan in zip(*batches[n]):
+                plans[s][i] = plan
         depth = [max(len(plan.layer_gates) for plan in row) for row in plans]
         offset = np.cumsum([0] + depth[:-1])
         cx_count = np.zeros((len(targets), sum(depth)))
@@ -657,12 +738,8 @@ class RBExecutor:
                 gate_error[i, :len(t)] = [cal.single_qubit_error[q] for q in t]
 
         out = np.empty((len(plans), len(targets)))
-        for n in (1, 2):
+        for n, (rows, row_plans) in batches.items():
             cols = [i for i, t in enumerate(targets) if len(t) == n]
-            if not cols:
-                continue
-            rows = [(s, i) for s in range(len(plans)) for i in cols]
-            row_plans = [plans[s][i] for s, i in rows]
             sizes = [len(plan.site_class) for plan in row_plans]
             site_class = np.concatenate([p.site_class for p in row_plans])
             layer = (np.concatenate([p.site_layer for p in row_plans])

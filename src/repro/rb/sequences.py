@@ -45,8 +45,8 @@ class RBSequence:
 
     ``cache_token`` is set (to the stable generation key) only on
     sequences produced by :func:`shared_rb_sequence`; downstream
-    estimators use it to memoize per-sequence derived structures (suffix
-    symplectic matrices).  It never participates in equality.
+    estimators use it to memoize per-sequence derived structures (the
+    exact estimator's plans).  It never participates in equality.
     """
 
     elements: Tuple[CliffordElement, ...]

@@ -5,15 +5,14 @@ strategies as private methods (exact branch-and-bound and a greedy fast
 dive).  Device-scale scheduling also needs windowed decomposition, so the
 strategies live here as :class:`SolverBackend` implementations sharing a
 :class:`SolveRequest`/:class:`Solution` contract that carries the model,
-the monotone partial-cost callback, the (single, shared)
-:class:`~repro.smt.budget.Budget`, and an optional incumbent to beat.
+the monotone partial-cost callback, and the (single, shared)
+:class:`~repro.smt.budget.Budget`.
 
 Backends are small, configuration-only objects that hold no model state.
 All of them are deterministic: same request, same answer.
 
 * :class:`ExactBnB` — depth-first branch-and-bound with LP bounding,
-  seeded by a greedy incumbent (or ``request.incumbent``); exact within
-  ``max_nodes`` / budget.
+  seeded by a greedy incumbent; exact within ``max_nodes`` / budget.
 * :class:`GreedyDive` — one pass of best-bound decisions, no
   backtracking; the historical large-instance mode.
 
@@ -99,8 +98,6 @@ class SolveRequest:
     budget: Budget = field(default_factory=Budget)
     exact_decision_limit: int = 14
     max_nodes: int = 200_000
-    #: A known-good solution to beat (seeds B&B pruning).
-    incumbent: Optional[Solution] = None
 
     def cost(self, assignment: Sequence[int]) -> float:
         return self.partial_cost(tuple(assignment))
@@ -370,11 +367,8 @@ class ExactBnB(SolverBackend):
         armed = budget.arm()
         state = {"nodes": 0, "interrupted": False, "reason": None}
         try:
-            # Incumbent first: dramatically improves pruning.  The caller
-            # may supply one; otherwise dive.
-            incumbent = request.incumbent
-            if incumbent is None:
-                incumbent = GreedyDive().solve(request)
+            # Incumbent first: dramatically improves pruning.
+            incumbent = GreedyDive().solve(request)
             best = [incumbent.objective, incumbent]
             if incumbent.interrupt is not None:
                 state["interrupted"] = True

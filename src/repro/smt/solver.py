@@ -68,7 +68,7 @@ class OptimizingSolver:
         self.backend = backend
 
     # ------------------------------------------------------------------
-    def request(self, incumbent: Optional[Solution] = None) -> SolveRequest:
+    def request(self) -> SolveRequest:
         """The :class:`SolveRequest` this solver hands its backends."""
         return SolveRequest(
             model=self.model,
@@ -76,7 +76,6 @@ class OptimizingSolver:
             budget=self.budget,
             exact_decision_limit=self.exact_decision_limit,
             max_nodes=self.max_nodes,
-            incumbent=incumbent,
         )
 
     # ------------------------------------------------------------------

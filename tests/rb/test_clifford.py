@@ -5,6 +5,8 @@ seconds); the algebraic identities checked here are the foundations RB
 correctness rests on.
 """
 
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -166,3 +168,41 @@ def test_uniform_sampling_covers_group(seed, clifford_2q):
     indices = {clifford_2q.sample(rng).index for _ in range(64)}
     # 64 draws from 11520 elements collide rarely; expect near-distinct.
     assert len(indices) > 55
+
+
+class TestGateTable:
+    def test_concurrent_fills_agree_with_serial(self):
+        """Threads filling one group's gate table at once must each get,
+        and leave behind, exactly the rows a serial fill gives."""
+        serial = CliffordGroup(1)
+        everything = serial.gate_table(range(len(serial)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                group = CliffordGroup(1)
+                rng = np.random.default_rng(trial)
+                requests = [rng.permutation(len(group))[:12]
+                            for _ in range(8)]
+                barrier = threading.Barrier(len(requests), timeout=5.0)
+                results = [None] * len(requests)
+
+                def work(k):
+                    barrier.wait()
+                    results[k] = group.gate_table(requests[k])
+
+                threads = [threading.Thread(target=work, args=(k,))
+                           for k in range(len(requests))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                for request, got in zip(requests, results):
+                    for a, b in zip(got, serial.gate_table(request)):
+                        assert np.array_equal(a, b)
+                for a, b in zip(group.gate_table(range(len(group))),
+                                everything):
+                    assert np.array_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)

@@ -1,11 +1,19 @@
 """Tests for noisy RB/SRB execution against the planted ground truth."""
 
+import dataclasses
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rb import executor as rb_executor
-from repro.rb.executor import RBConfig, RBExecutor
+from repro.rb.clifford import _gate_tableau, clifford_group
+from repro.rb.executor import RBConfig, RBExecutor, _SequencePlan
 from repro.rb.interleaved import InterleavedRB
+from repro.rb.sequences import _closed_sequences
 
 
 @pytest.fixture()
@@ -23,8 +31,20 @@ class TestConfig:
         assert paper.shots == 1024
 
     def test_executions(self):
-        cfg = RBConfig(lengths=(2, 4), num_sequences=10, shots=100)
-        assert cfg.executions() == 2 * 10 * 100
+        cfg = RBConfig(lengths=(2, 4, 8), num_sequences=10, shots=100)
+        assert cfg.executions() == 3 * 10 * 100
+
+    def test_too_few_lengths_rejected(self):
+        with pytest.raises(ValueError, match="at least three lengths"):
+            RBConfig(lengths=(2, 8))
+
+    def test_length_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            RBConfig(lengths=(0, 8, 20))
+
+    def test_no_sequences_rejected(self):
+        with pytest.raises(ValueError, match="at least one sequence"):
+            RBConfig(num_sequences=0)
 
 
 class TestValidation:
@@ -146,11 +166,9 @@ class TestSingleQubitUnits:
 
 
 class TestEstimators:
-    def test_unknown_estimate_mode_rejected(self, poughkeepsie):
-        config = RBConfig(estimate="magic")
-        executor = RBExecutor(poughkeepsie, config=config, seed=1)
+    def test_unknown_estimate_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown estimate"):
-            executor.run_independent((0, 1))
+            RBConfig(estimate="exakt")
 
     def test_exact_matches_sampled_mean(self, poughkeepsie):
         """The exact Walsh-characteristic estimator is the expectation the
@@ -246,3 +264,156 @@ class TestExactKernel:
             [((0, 1), (2, 3))])
         InterleavedRB(poughkeepsie, config=config, seed=5).run((0, 1))
         assert len(rb_executor._PLAN_CACHE) == before
+
+
+def _reference_plan(seq, n, include_decoherence):
+    """One sequence's plan, built on its own with one GF(2) product per
+    Clifford and per gate: the reference the batched builder must
+    reproduce field for field."""
+    elements = (*seq.elements, seq.inverse)
+    num_layers = len(elements)
+    # tails[k]: x-columns of the product of the elements after layer k.
+    tails = np.empty((num_layers, 2 * n, n), dtype=np.uint8)
+    tails[-1] = np.eye(2 * n, dtype=np.uint8)[:, :n]
+    for k in range(num_layers - 2, -1, -1):
+        np.matmul(elements[k + 1].tableau.mat, tails[k + 1], out=tails[k])
+    tails &= 1
+    gate_class = np.array([0 if name == "cx" else 1 + qs[0]
+                           for el in elements for name, qs in el.gates],
+                          dtype=np.int64)
+    layer_gates = np.array([len(el.gates) for el in elements])
+    gate_layer = np.repeat(np.arange(num_layers), layer_gates)
+    layer_cx = np.bincount(gate_layer[gate_class == 0], minlength=num_layers)
+    # Within-element suffixes: the product of the element's gates after
+    # each gate.
+    suffixes = []
+    for el in elements:
+        acc = np.eye(2 * n, dtype=np.uint8)
+        block = []
+        for name, qs in reversed(el.gates):
+            block.append(acc)
+            acc = (_gate_tableau(n, name, qs).mat @ acc) % 2
+        suffixes.extend(reversed(block))
+    suffixes = np.array(suffixes, dtype=np.uint8).reshape(-1, 2 * n, 2 * n)
+    code_of = 1 << np.arange(2 * n * n)
+    gate_code = ((suffixes @ tails[gate_layer]) & 1).reshape(
+        len(gate_layer), 2 * n * n) @ code_of
+    # Product order: CNOTs first, then each local qubit's 1q gates in order
+    # of that qubit's first gate.
+    rank = np.zeros(1 + n, dtype=np.int64)
+    for r, c in enumerate(dict.fromkeys(gate_class[gate_class > 0].tolist())):
+        rank[c] = r + 1
+    order = np.argsort(rank[gate_class], kind="stable")
+    classes = [gate_class[order]]
+    layers = [gate_layer[order]]
+    codes = [gate_code[order]]
+    sizes = np.bincount(rank[gate_class])
+    sizes = [sizes[sizes > 0]]
+    if include_decoherence:
+        idle_classes = np.arange(1 + n, 1 + 4 * n)
+        classes.append(np.repeat(idle_classes, num_layers))
+        layers.append(np.tile(np.arange(num_layers), len(idle_classes)))
+        codes.append(np.tile(tails.reshape(num_layers, -1) @ code_of,
+                             len(idle_classes)))
+        sizes.append(np.full(len(idle_classes), num_layers))
+    site_class = np.concatenate(classes)
+    return _SequencePlan(
+        layer_cx=layer_cx,
+        layer_gates=layer_gates,
+        site_class=site_class.astype(np.int8),
+        site_layer=np.concatenate(layers).astype(np.int32),
+        weights=rb_executor._walsh_table(n)[site_class,
+                                            np.concatenate(codes)],
+        class_sizes=np.concatenate(sizes),
+    )
+
+
+@lru_cache(maxsize=None)
+def _element_pools(n):
+    """Element indices to draw sequences from, by name.
+
+    ``no_cx`` and ``one_local`` (every gate a 1q gate on local qubit 1)
+    are subgroups, so their sequences close with an inverse of the same
+    kind: a 2q sequence with no CNOT class, and one with an empty class for
+    local qubit 0.  ``identity`` sequences have no gate sites at all.
+    """
+    elements = clifford_group(n).elements
+    pools = {
+        "any": list(range(len(elements))),
+        "identity": [el.index for el in elements if not el.gates],
+    }
+    if n == 2:
+        pools["no_cx"] = [el.index for el in elements if el.cnot_count == 0]
+        pools["one_local"] = [
+            el.index for el in elements
+            if all(name != "cx" and qs == (1,) for name, qs in el.gates)]
+    return pools
+
+
+_TOKENS = itertools.count()
+
+#: One requested sequence: (pool, length, draw seed, memo state), where
+#: the memo state is "none" (no cache token), "fresh" (a token not yet
+#: planned) or "memo" (a token planned before the request).  The 2q-only
+#: pools fall back to "any" for n = 1.
+_SPEC = st.tuples(st.sampled_from(["any", "identity", "no_cx", "one_local"]),
+                  st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+                  st.sampled_from(["none", "fresh", "memo"]))
+
+
+def _check_plans(n, include_decoherence, specs, duplicates=()):
+    group = clifford_group(n)
+    pools = _element_pools(n)
+    sequences = []
+    for pool, length, seed, memo in specs:
+        indices = pools.get(pool, pools["any"])
+        row = np.random.default_rng(seed).choice(indices, size=length)
+        token = None if memo == "none" else ("plan-oracle", next(_TOKENS))
+        sequences.append(_closed_sequences(group, [row], [token])[0])
+    rb_executor._PLAN_CACHE.clear()
+    memoized = {
+        b: rb_executor._sequence_plans([sequences[b]], n,
+                                       include_decoherence)[0]
+        for b, spec in enumerate(specs) if spec[3] == "memo"}
+    request = sequences + [sequences[b % len(sequences)]
+                           for b in duplicates]
+    plans = rb_executor._sequence_plans(request, n, include_decoherence)
+
+    assert len(plans) == len(request)
+    for seq, plan in zip(request, plans):
+        reference = _reference_plan(seq, n, include_decoherence)
+        for field in dataclasses.fields(_SequencePlan):
+            got = getattr(plan, field.name)
+            want = getattr(reference, field.name)
+            assert got.dtype == want.dtype, field.name
+            assert np.array_equal(got, want, equal_nan=True), field.name
+    for b, plan in memoized.items():
+        assert plans[b] is plan
+    tokens = {seq.cache_token for seq in sequences} - {None}
+    assert set(rb_executor._PLAN_CACHE) == {
+        (token, include_decoherence) for token in tokens}
+
+
+class TestPlanOracle:
+    """The batched plan builder against the one-sequence reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2]), include_decoherence=st.booleans(),
+           specs=st.lists(_SPEC, min_size=1, max_size=8),
+           duplicates=st.lists(st.integers(0, 7), max_size=3))
+    def test_batched_plans_match_reference(self, n, include_decoherence,
+                                           specs, duplicates):
+        _check_plans(n, include_decoherence, specs, duplicates)
+
+    @pytest.mark.parametrize("include_decoherence", [False, True],
+                             ids=["decay=False", "decay=True"])
+    @pytest.mark.parametrize("n,pool", [(1, "identity"), (2, "identity"),
+                                        (2, "no_cx"), (2, "one_local")])
+    def test_empty_classes(self, n, pool, include_decoherence):
+        specs = [(pool, length, seed, memo)
+                 for length, seed, memo in ((1, 0, "none"), (7, 1, "fresh"),
+                                            (40, 2, "memo"))]
+        # Mixed with ordinary sequences, so the empty classes sit between
+        # full ones in the batch.
+        specs += [("any", 5, 3, "fresh"), ("any", 1, 4, "none")]
+        _check_plans(n, include_decoherence, specs, duplicates=[0, 3])

@@ -7,7 +7,6 @@ import pytest
 
 from repro.smt.backends import (
     ExactBnB,
-    GreedyDive,
     SolveRequest,
     lp_minimize,
 )
@@ -56,12 +55,6 @@ class TestBackendContract:
         solution = ExactBnB().solve(SolveRequest(model, cost))
         assert solution.exact
         assert solution.objective == pytest.approx(brute_force(model, cost))
-
-    def test_incumbent_seeds_exact(self):
-        model, cost = chain_model(4)
-        greedy = GreedyDive().solve(SolveRequest(model, cost))
-        seeded = ExactBnB().solve(SolveRequest(model, cost, incumbent=greedy))
-        assert seeded.objective == pytest.approx(brute_force(model, cost))
 
     def test_request_pickles(self):
         model, _ = chain_model(3)
