@@ -205,7 +205,9 @@ def bench_exact_tomography(workers: int, fast: bool) -> dict:
     prepared = prepare_circuit("XtalkSched", bench.circuit, device, report)
     backend = NoisyBackend(device, day=0)
     config = ExperimentConfig(shots=1024)
-    units = 5 if fast else 25
+    # A unit takes ~10 ms: fewer units than this let the median swing by
+    # more than the --check budget between two legs running the same code.
+    units = 40 if fast else 200
 
     single, serial_unit, pooled, parallel_unit = _interleaved(
         lambda: tomography_error(backend, prepared, bench.meeting_pair,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.sim.channels import ReadoutModel, counts_to_distribution
@@ -37,6 +36,10 @@ def mitigate_distribution(probs: np.ndarray, confusion: np.ndarray) -> np.ndarra
     if candidate is not None and candidate.min() >= -1e-9:
         candidate = np.clip(candidate, 0.0, None)
         return candidate / candidate.sum()
+
+    # Imported here: exact inversion (the usual case) never gets this far,
+    # and the optimizer package costs ~0.35 s and ~50 MB to import.
+    from scipy import optimize
 
     result = optimize.lsq_linear(
         confusion, probs, bounds=(0.0, 1.0), method="bvls"

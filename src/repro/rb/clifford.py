@@ -7,7 +7,11 @@ image is a Pauli stored as an (x|z) bit row plus a phase exponent ``e``
 
 The full group is enumerated by Dijkstra from the identity over the
 generator set {H, S, Sdg} per qubit plus both CNOT orientations, with
-lexicographic cost (CNOT count, total gates).  This yields
+lexicographic cost (CNOT count, total gates), run one cost level at a
+time: each level is one stacked product of its elements with every
+generator, and ties break as in a heap that pops one element at a time
+(see :meth:`CliffordGroup._enumerate`), so the decompositions are that
+heap's.  This yields
 
 * the single-qubit group: 24 elements, no CNOTs;
 * the two-qubit group: 11520 elements with the known CNOT-cost profile
@@ -21,7 +25,6 @@ inverse plus a Pauli sign fix) so RB sequences can always be closed.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -298,7 +301,6 @@ class CliffordGroup:
         self.num_qubits = num_qubits
         self.elements: List[CliffordElement] = []
         self._index_of: Dict[bytes, int] = {}
-        self._stacked: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         # Per-gate rows of the elements drawn so far (see gate_table):
         # element i owns rows _gate_start[i] : _gate_start[i] + its gate
         # count; -1 marks an element not yet drawn.
@@ -319,45 +321,93 @@ class CliffordGroup:
         return gens
 
     def _enumerate(self) -> None:
-        gens = self._generators()
-        gen_tabs = {
-            g: _gate_tableau(self.num_qubits, g[0], g[1]) for g in gens
-        }
-        identity = CliffordTableau.identity(self.num_qubits)
-        # Dijkstra with cost (cnot_count, gate_count): guarantees the
-        # decompositions are CNOT-minimal.
-        best: Dict[bytes, Tuple[int, int]] = {identity.key(): (0, 0)}
-        entry: Dict[bytes, Tuple[Optional[bytes], Optional[Tuple[str, Tuple[int, ...]]], CliffordTableau]] = {
-            identity.key(): (None, None, identity)
-        }
-        heap: List[Tuple[int, int, bytes]] = [(0, 0, identity.key())]
-        while heap:
-            cnots, ngates, key = heapq.heappop(heap)
-            if (cnots, ngates) != best[key]:
-                continue
-            tab = entry[key][2]
-            for gate in gens:
-                nxt = tab.compose(gen_tabs[gate])
-                nkey = nxt.key()
-                ncost = (cnots + (1 if gate[0] == "cx" else 0), ngates + 1)
-                if nkey not in best or ncost < best[nkey]:
-                    best[nkey] = ncost
-                    entry[nkey] = (key, gate, nxt)
-                    heapq.heappush(heap, (ncost[0], ncost[1], nkey))
+        """Dijkstra from the identity with cost (CNOT count, gate count),
+        one cost level at a time.
 
-        for key in sorted(best):
-            gates: List[Tuple[str, Tuple[int, ...]]] = []
-            cursor = key
-            while entry[cursor][1] is not None:
-                parent, gate, _ = entry[cursor]
-                gates.append(gate)
-                cursor = parent
-            gates.reverse()
-            idx = len(self.elements)
-            self.elements.append(
-                CliffordElement(idx, entry[key][2], tuple(gates))
-            )
-            self._index_of[key] = idx
+        The level is the cheapest open cost; its frontier is every element
+        at that best cost, in key order, composed with every generator in
+        one stacked product.  Per result key the cheapest row is kept, and
+        among equal-cost rows the first in (frontier key, generator)
+        order; it replaces a known element only when strictly cheaper.
+        That is the tie-break of a heap popping ``(cnots, gates, key)``
+        and relaxing generators in order, so every element's CNOT-minimal
+        decomposition is the one that heap finds.
+        """
+        n = self.num_qubits
+        dim = 2 * n
+        gens = self._generators()
+        gen_mat = np.stack([_gate_tableau(n, name, qubits).mat
+                            for name, qubits in gens]).astype(np.int64)
+        gen_phase = np.stack([_gate_tableau(n, name, qubits).phase
+                              for name, qubits in gens]).astype(np.int64)
+        gen_swaps = _swap_terms(gen_mat)
+        # (cnots, gates) packed into one int64 that orders the same way.
+        gen_cost = np.array([(1 << 32) * (name == "cx") + 1
+                             for name, _ in gens], dtype=np.int64)
+        # Every key byte (a mat bit or a phase) is below 4, so the bytes
+        # read as base-4 digits, first byte most significant, give int64
+        # keys in the byte order of CliffordTableau.key().
+        digits = 4 ** np.arange(dim * dim + dim - 1, -1, -1, dtype=np.int64)
+
+        def keys_of(mat: np.ndarray, phase: np.ndarray) -> np.ndarray:
+            return np.concatenate([mat.reshape(len(mat), -1), phase],
+                                  axis=1) @ digits
+
+        # One row per element found so far: its tableau, key, best cost,
+        # and the element and generator that reached it at that cost.
+        mat = np.eye(dim, dtype=np.int64)[None]
+        phase = np.zeros((1, dim), dtype=np.int64)
+        key = keys_of(mat, phase)
+        cost = np.zeros(1, dtype=np.int64)
+        parent = np.full(1, -1, dtype=np.intp)
+        via = np.full(1, -1, dtype=np.intp)
+        level = -1
+        while (cost > level).any():
+            level = cost[cost > level].min()
+            frontier = np.flatnonzero(cost == level)
+            frontier = frontier[np.argsort(key[frontier])]
+            step_mat, step_phase = _compose_stacked(
+                mat[frontier, None], phase[frontier, None],
+                gen_mat, gen_phase, gen_swaps)
+            step_mat = step_mat.reshape(-1, dim, dim)
+            step_phase = step_phase.reshape(-1, dim)
+            step_key = keys_of(step_mat, step_phase)
+            step_cost = level + np.tile(gen_cost, len(frontier))
+            # lexsort is stable, so equal (key, cost) rows stay in
+            # (frontier key, generator) order: keep each key's first row.
+            rows = np.lexsort((step_cost, step_key))
+            rows = rows[np.r_[True, np.diff(step_key[rows]) != 0]]
+            sorter = np.argsort(key)
+            at = np.searchsorted(key, step_key[rows], sorter=sorter)
+            known = sorter[np.minimum(at, len(key) - 1)]
+            found = key[known] == step_key[rows]
+            better = found & (step_cost[rows] < cost[known])
+            cost[known[better]] = step_cost[rows[better]]
+            parent[known[better]] = frontier[rows[better] // len(gens)]
+            via[known[better]] = rows[better] % len(gens)
+            new = rows[~found]
+            mat = np.concatenate([mat, step_mat[new]])
+            phase = np.concatenate([phase, step_phase[new]])
+            key = np.concatenate([key, step_key[new]])
+            cost = np.concatenate([cost, step_cost[new]])
+            parent = np.concatenate([parent, frontier[new // len(gens)]])
+            via = np.concatenate([via, new % len(gens)])
+
+        # A parent is always cheaper than its child, so walking elements
+        # in cost order builds every decomposition from its parent's.
+        paths: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = [()] * len(key)
+        parents, vias = parent.tolist(), via.tolist()
+        for row in np.argsort(cost, kind="stable").tolist():
+            if parents[row] >= 0:
+                paths[row] = paths[parents[row]] + (gens[vias[row]],)
+        order = np.argsort(key)
+        mat, phase = mat[order], phase[order]
+        self._stacked = (mat, phase, _swap_terms(mat))
+        mat_u8, phase_u8 = mat.astype(np.uint8), phase.astype(np.uint8)
+        for idx, row in enumerate(order.tolist()):
+            tableau = CliffordTableau(mat_u8[idx], phase_u8[idx])
+            self.elements.append(CliffordElement(idx, tableau, paths[row]))
+            self._index_of[tableau.key()] = idx
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -417,16 +467,8 @@ class CliffordGroup:
         return out
 
     def stacked_tableaux(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every element's matrix, phases and swap terms, stacked (int64).
-
-        Built on the first batched use rather than at enumeration, so
-        callers that never batch do not pay for it.
-        """
-        if self._stacked is None:
-            mats = np.stack([el.tableau.mat for el in self.elements])
-            mats = mats.astype(np.int64)
-            phases = np.stack([el.tableau.phase for el in self.elements])
-            self._stacked = (mats, phases.astype(np.int64), _swap_terms(mats))
+        """Every element's matrix, phases and swap terms, stacked (int64)
+        in element order: the arrays the enumeration built."""
         return self._stacked
 
     def gate_table(self, indices: Sequence[int]
@@ -501,5 +543,6 @@ class CliffordGroup:
 
 @lru_cache(maxsize=None)
 def clifford_group(num_qubits: int) -> CliffordGroup:
-    """Cached group instances (enumeration of the 2q group takes seconds)."""
+    """The group on ``num_qubits`` qubits, enumerated once per process
+    (level by level, ~0.3 s for the 2-qubit group)."""
     return CliffordGroup(num_qubits)

@@ -5,6 +5,11 @@ The engine stores the amplitudes of ``n`` qubits as a complex array of shape
 arbitrary qubit subset a tensordot + transpose.  This is fast enough for the
 paper's workloads: the application circuits touch at most ~8 qubits, and the
 supremacy circuits are only ever *compiled*, not simulated.
+
+:func:`ideal_distribution` simulates only the qubits a circuit's gates
+touch (plus the ones it reports on), on a compact register, so a 4-qubit
+QAOA region placed on a 20-qubit device costs a 4-qubit statevector, and
+the 24-qubit cap counts those qubits, not the device's.
 """
 
 from __future__ import annotations
@@ -149,11 +154,21 @@ class Statevector:
 def simulate_statevector(circuit: QuantumCircuit,
                          rng: Optional[np.random.Generator] = None) -> Statevector:
     """Noiselessly simulate a circuit, ignoring barriers and measurements."""
-    state = Statevector(circuit.num_qubits, rng)
+    return _simulate_on(circuit, range(circuit.num_qubits), rng)
+
+
+def _simulate_on(circuit: QuantumCircuit, live: Sequence[int],
+                 rng: Optional[np.random.Generator] = None) -> Statevector:
+    """Simulate ``circuit``'s gates on a register of the qubits ``live``:
+    register qubit ``k`` is circuit qubit ``live[k]``, and every qubit a
+    gate acts on must be listed."""
+    slot = {q: k for k, q in enumerate(live)}
+    state = Statevector(len(slot), rng)
     for instr in circuit:
         if instr.is_directive or instr.is_measure:
             continue
-        state.apply_gate(instr.name, instr.qubits, instr.params)
+        state.apply_gate(instr.name, [slot[q] for q in instr.qubits],
+                         instr.params)
     return state
 
 
@@ -164,13 +179,24 @@ def ideal_distribution(circuit: QuantumCircuit,
     When ``qubits`` is omitted, the measured qubits are taken from the
     circuit's measure instructions in clbit order (or all qubits if the
     circuit has no measurements).
+
+    Only the qubits a gate touches, plus the requested ones, are
+    simulated: the others stay in ``|0>`` and factor out of the
+    distribution.  The dense-simulation cap applies to those qubits, not
+    to the circuit's register.
     """
     if qubits is None:
         measured = sorted(
             ((instr.clbit, instr.qubits[0]) for instr in circuit if instr.is_measure),
         )
         qubits = [q for _, q in measured] or list(range(circuit.num_qubits))
-    state = simulate_statevector(circuit)
-    probs = state.probabilities(qubits)
+    if any(not 0 <= q < circuit.num_qubits for q in qubits):
+        raise ValueError(f"qubits {list(qubits)} are not all in the circuit")
+    live = sorted(set(qubits).union(
+        q for instr in circuit
+        if not (instr.is_directive or instr.is_measure)
+        for q in instr.qubits))
+    state = _simulate_on(circuit, live)
+    probs = state.probabilities([live.index(q) for q in qubits])
     n = len(qubits)
     return {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > 1e-12}

@@ -1,8 +1,14 @@
 """Tests for readout-error mitigation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.device.backend import NoisyBackend
 from repro.metrics.readout import (
     measure_readout_model,
@@ -67,3 +73,19 @@ class TestMeasuredModel:
         assert measured.p0_given_1[1] == pytest.approx(
             cal.readout_error[7], abs=0.02
         )
+
+
+def test_import_path_leaves_optimizer_out():
+    """Exact mitigation never reaches the least-squares fallback, so
+    importing the experiment layer must not import ``scipy.optimize``
+    (``test_clips_to_simplex`` covers the fallback itself)."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, repro.experiments.common; "
+            "print('scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip() == "False"

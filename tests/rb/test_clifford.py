@@ -1,10 +1,13 @@
 """Tests for Clifford tableaus and group enumeration.
 
-The 2-qubit group fixture is session-scoped (enumeration takes a few
-seconds); the algebraic identities checked here are the foundations RB
-correctness rests on.
+The group fixtures are session-scoped.  The enumeration runs Dijkstra one
+cost level at a time; :func:`_reference_enumeration` keeps the one-element-
+at-a-time heap it must reproduce bitwise (element order, tableaux, gate
+decompositions).  The algebraic identities checked here are the
+foundations RB correctness rests on.
 """
 
+import heapq
 import sys
 import threading
 from collections import Counter
@@ -17,6 +20,74 @@ from hypothesis import strategies as st
 from repro.rb.clifford import CliffordGroup, CliffordTableau, _gate_tableau
 from repro.sim.statevector import Statevector
 from repro.sim.unitaries import pauli_matrix
+
+
+def _reference_enumeration(num_qubits):
+    """Dijkstra from the identity with a heap, one element at a time.
+
+    Cost is (CNOT count, gate count); ties pop in tableau-key order and a
+    relaxation wins only when strictly cheaper.  Returns ``(key, gates)``
+    per element, in key order.
+    """
+    gens = [(name, (q,)) for q in range(num_qubits)
+            for name in ("h", "s", "sdg")]
+    if num_qubits == 2:
+        gens += [("cx", (0, 1)), ("cx", (1, 0))]
+    identity = CliffordTableau.identity(num_qubits)
+    best = {identity.key(): (0, 0)}
+    entry = {identity.key(): (None, None, identity)}
+    heap = [(0, 0, identity.key())]
+    while heap:
+        cnots, ngates, key = heapq.heappop(heap)
+        if (cnots, ngates) != best[key]:
+            continue
+        for gate in gens:
+            nxt = entry[key][2].compose(_gate_tableau(num_qubits, *gate))
+            nkey = nxt.key()
+            ncost = (cnots + (gate[0] == "cx"), ngates + 1)
+            if nkey not in best or ncost < best[nkey]:
+                best[nkey] = ncost
+                entry[nkey] = (key, gate, nxt)
+                heapq.heappush(heap, (*ncost, nkey))
+    elements = []
+    for key in sorted(best):
+        gates = []
+        cursor = key
+        while entry[cursor][1] is not None:
+            cursor, gate, _ = entry[cursor]
+            gates.append(gate)
+        elements.append((key, tuple(reversed(gates))))
+    return elements
+
+
+class TestEnumerationOracle:
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_matches_heap_dijkstra(self, num_qubits, clifford_1q,
+                                   clifford_2q):
+        group = {1: clifford_1q, 2: clifford_2q}[num_qubits]
+        reference = _reference_enumeration(num_qubits)
+        assert [el.index for el in group.elements] == list(
+            range(len(reference)))
+        assert [el.tableau.key() for el in group.elements] == [
+            key for key, _ in reference]
+        assert [el.gates for el in group.elements] == [
+            gates for _, gates in reference]
+        assert group._index_of == {
+            key: index for index, (key, _) in enumerate(reference)}
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_stacked_tableaux_are_the_elements(self, num_qubits,
+                                               clifford_1q, clifford_2q):
+        group = {1: clifford_1q, 2: clifford_2q}[num_qubits]
+        mats, phases, swaps = group.stacked_tableaux()
+        assert mats.dtype == phases.dtype == swaps.dtype == np.int64
+        assert np.array_equal(
+            mats, np.stack([el.tableau.mat for el in group.elements]))
+        assert np.array_equal(
+            phases, np.stack([el.tableau.phase for el in group.elements]))
+        assert np.array_equal(
+            swaps, np.stack([el.tableau._swap_matrix()
+                             for el in group.elements]))
 
 
 class TestGroupOrders:

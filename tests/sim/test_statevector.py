@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.device.presets import ibm_hummingbird_65q
 from repro.sim.statevector import (
     Statevector,
     ideal_distribution,
     simulate_statevector,
 )
 from repro.sim.unitaries import gate_unitary
+from repro.workloads.qaoa import QAOA_REGIONS, qaoa_ansatz, qaoa_on_region
 
 
 class TestBasics:
@@ -160,6 +162,11 @@ class TestCircuitSimulation:
         dist = ideal_distribution(circ)
         assert dist == {"1": pytest.approx(1.0)}
 
+    def test_out_of_range_qubits_rejected(self):
+        circ = QuantumCircuit(3).h(0)
+        with pytest.raises(ValueError):
+            ideal_distribution(circ, qubits=[0, 3])
+
     def test_barriers_and_measures_skipped(self):
         circ = QuantumCircuit(2, 2).h(0).barrier().measure(0, 0)
         state = simulate_statevector(circ)
@@ -205,3 +212,89 @@ def test_probabilities_marginalize_consistently(seed):
         for i, p in enumerate(joint):
             from_joint[(i >> q) & 1] += p
         assert np.allclose(marginal, from_joint, atol=1e-9)
+
+
+def _full_register_distribution(circuit, qubits=None):
+    """Reference for :func:`ideal_distribution`: simulate every qubit of
+    the circuit's register, touched by a gate or not."""
+    if qubits is None:
+        measured = sorted((instr.clbit, instr.qubits[0])
+                          for instr in circuit if instr.is_measure)
+        qubits = [q for _, q in measured] or list(range(circuit.num_qubits))
+    probs = simulate_statevector(circuit).probabilities(qubits)
+    n = len(qubits)
+    return {format(i, f"0{n}b"): float(p)
+            for i, p in enumerate(probs) if p > 1e-12}
+
+
+def _assert_same_distribution(got, expected):
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        assert abs(got[key] - value) <= 1e-12, key
+
+
+@st.composite
+def _sparse_circuits(draw):
+    """A 12-20-qubit circuit whose gates touch at most 6 qubits, with
+    barriers, measurements into permuted clbits (one of them of a qubit no
+    gate touches) and an untouched qubit to request by ``qubits=``."""
+    num_qubits = draw(st.integers(12, 20))
+    touched = draw(st.lists(st.integers(0, num_qubits - 1), min_size=1,
+                            max_size=6, unique=True))
+    untouched = [q for q in range(num_qubits) if q not in touched]
+    idle = draw(st.sampled_from(untouched))
+    measured = draw(st.lists(st.sampled_from(touched), unique=True)) + [idle]
+    clbits = draw(st.permutations(range(len(measured))))
+    circuit = QuantumCircuit(num_qubits, len(measured))
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["1q", "rotation", "2q", "barrier"]))
+        if kind == "1q":
+            circuit.add(draw(st.sampled_from(_GATES_1Q)),
+                        draw(st.sampled_from(touched)))
+        elif kind == "rotation":
+            angle = draw(st.floats(0.0, 2 * np.pi))
+            circuit.add(draw(st.sampled_from(["rx", "ry", "rz"])),
+                        draw(st.sampled_from(touched)), params=(angle,))
+        elif kind == "2q" and len(touched) >= 2:
+            pair = draw(st.lists(st.sampled_from(touched), min_size=2,
+                                 max_size=2, unique=True))
+            circuit.add(draw(st.sampled_from(["cx", "cz", "swap"])), *pair)
+        elif kind == "barrier":
+            circuit.barrier(*draw(st.lists(st.integers(0, num_qubits - 1),
+                                           unique=True)))
+    for qubit, clbit in zip(measured, clbits):
+        circuit.measure(qubit, clbit)
+    extra = draw(st.sampled_from(untouched))
+    requested = draw(st.lists(
+        st.sampled_from([q for q in range(num_qubits) if q != extra]),
+        max_size=3, unique=True))
+    return circuit, draw(st.permutations(requested + [extra]))
+
+
+class TestTouchedQubitsOnly:
+    @settings(max_examples=25, deadline=None)
+    @given(case=_sparse_circuits())
+    def test_matches_full_register(self, case):
+        circuit, requested = case
+        _assert_same_distribution(ideal_distribution(circuit),
+                                  _full_register_distribution(circuit))
+        _assert_same_distribution(
+            ideal_distribution(circuit, qubits=requested),
+            _full_register_distribution(circuit, qubits=requested))
+
+    @pytest.mark.parametrize("region", QAOA_REGIONS)
+    def test_qaoa_regions_bitwise(self, poughkeepsie, region):
+        circuit = qaoa_on_region(poughkeepsie.coupling, region, seed=7)
+        assert ideal_distribution(circuit) == \
+            _full_register_distribution(circuit)
+
+    def test_65_qubit_heavy_hex_region(self):
+        coupling = ibm_hummingbird_65q().coupling
+        region = coupling.shortest_path(8, 30)
+        assert len(region) == 10
+        placed = qaoa_on_region(coupling, region, seed=3)
+        with pytest.raises(ValueError):
+            Statevector(placed.num_qubits)
+        logical = qaoa_ansatz(len(region), seed=3).measure_all()
+        _assert_same_distribution(ideal_distribution(placed),
+                                  _full_register_distribution(logical))
