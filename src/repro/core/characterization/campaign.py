@@ -311,7 +311,6 @@ class CharacterizationCampaign:
         an experiment ran now, ran before the resume, or ran on a retry.
         """
         with span(span_name) as record:
-            baseline = dict(engine.counters)
             keys = [_experiment_key(stage, exp) for exp in experiments]
             results: List = [None] * len(experiments)
             to_run: List[int] = []
@@ -347,7 +346,6 @@ class CharacterizationCampaign:
             for value in results:
                 if not isinstance(value, TaskFailure):
                     record.add_counters(value[1])
-            record.counters.update(engine.counters_since(baseline))
             if skipped:
                 record.counters["resilience.checkpoint.hits"] = float(skipped)
         return results

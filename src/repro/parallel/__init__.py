@@ -6,11 +6,9 @@ RNG derivation that makes parallel results reproducible.
 """
 
 from repro.parallel.engine import (
-    MIN_PARALLEL_ENV,
     MODE_CODES,
     ParallelEngine,
     WORKERS_ENV,
-    resolve_min_parallel_seconds,
     resolve_workers,
 )
 from repro.parallel.seeding import (
@@ -20,11 +18,9 @@ from repro.parallel.seeding import (
 )
 
 __all__ = [
-    "MIN_PARALLEL_ENV",
     "MODE_CODES",
     "ParallelEngine",
     "WORKERS_ENV",
-    "resolve_min_parallel_seconds",
     "resolve_workers",
     "stable_entropy",
     "stable_rng",

@@ -441,17 +441,11 @@ class RBExecutor:
     """
 
     def __init__(self, device: Device, day: int = 0,
-                 config: Optional[RBConfig] = None, seed: Optional[int] = None,
-                 faults=None):
+                 config: Optional[RBConfig] = None, seed: Optional[int] = None):
         self.device = device
         self.day = day
         self.config = config or RBConfig()
         self.base_seed = seed if seed is not None else device.seed * 104729 + day
-        #: Optional :class:`~repro.resilience.faults.FaultInjector` for the
-        #: in-process ``"rb.experiment"`` fault site (the campaign's pool
-        #: path instead ships directives through the parallel engine, so
-        #: attempt counting survives process boundaries).
-        self.faults = faults
         # Fallback stream for direct private-API callers (interleaved RB);
         # run_units never consumes it.
         self._rng = np.random.default_rng(self.base_seed)
@@ -498,14 +492,6 @@ class RBExecutor:
         used_qubits = [q for t in targets for q in t]
         if len(set(used_qubits)) != len(used_qubits):
             raise ValueError("experiment units overlap in qubits")
-        if self.faults is not None:
-            # Fires after validation but before any measurement work, like
-            # a queued experiment dying; the injector tracks attempts per
-            # (site, key) so a retried call eventually succeeds.
-            self.faults.check(
-                "rb.experiment",
-                (self._fingerprint, self.day, self.base_seed, sorted(targets)),
-            )
 
         cfg = self.config
         rng = self._experiment_rng(targets)

@@ -179,10 +179,10 @@ class FaultInjector:
       engine-tracked attempt number, ships the directive to the worker,
       and the worker executes it (attempt numbers survive process
       boundaries this way);
-    * in-process fault sites (:class:`~repro.device.backend.NoisyBackend`,
-      :class:`~repro.rb.executor.RBExecutor`) call :meth:`check`, which
-      tracks attempts per ``(site, key)`` in the injector itself and
-      raises directly.
+    * the in-process fault site of
+      :class:`~repro.device.backend.NoisyBackend` calls :meth:`check`,
+      which tracks attempts per ``(site, key)`` in the injector itself
+      and raises directly.
     """
 
     def __init__(self, plan: FaultPlan):

@@ -11,6 +11,7 @@ from repro.obs.registry import (
     push_registry,
 )
 from repro.parallel import ParallelEngine
+from repro.parallel import engine as engine_mod
 
 
 class TestInstruments:
@@ -148,12 +149,12 @@ class TestProcessSafety:
         assert reg.counter("parallel.tasks").snapshot() == 6.0
         assert reg.histogram("parallel.task.exec_seconds").count == 6
 
-    def test_queue_timing_recorded_in_pool_mode(self):
+    def test_queue_timing_recorded_in_pool_mode(self, monkeypatch):
+        # disable the serial-fallback heuristic: queue timings only
+        # exist when tasks genuinely cross the pool
+        monkeypatch.setattr(engine_mod, "MIN_PARALLEL_SECONDS", 0.0)
         with push_registry() as reg:
-            # disable the serial-fallback heuristic: queue timings only
-            # exist when tasks genuinely cross the pool
-            with ParallelEngine(workers=2, name="t",
-                                min_parallel_seconds=0.0) as engine:
+            with ParallelEngine(workers=2, name="t") as engine:
                 engine.map(_registry_task, list(range(4)))
         hist = reg.histogram("parallel.task.queue_seconds")
         assert hist.count == 4

@@ -56,8 +56,10 @@ class TestCampaignWorkerIndependence:
         )
         outcome = campaign.run(CharacterizationPolicy.ONE_HOP_PACKED, workers=2)
         span = outcome.trace.span("pair_srb")
-        assert span.counters["parallel.workers"] == 2.0
-        assert span.counters["parallel.tasks"] >= 1.0
+        (fanout,) = span.children
+        assert fanout.name == "parallel.map[characterize[one_hop_packed]]"
+        assert fanout.counters["parallel.map.workers"] == 2.0
+        assert fanout.counters["parallel.map.tasks"] >= 1.0
         assert span.counters["rb.experiments"] >= 1.0
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.obs.registry import MetricsRegistry, push_registry
+from repro.obs.registry import MetricsRegistry, get_registry, push_registry
+from repro.obs.trace import span
 from repro.parallel import (
     ParallelEngine,
     WORKERS_ENV,
@@ -13,10 +14,13 @@ from repro.parallel import (
     stable_seed_sequence,
 )
 from repro.parallel import engine as engine_mod
-from repro.parallel.engine import (
-    MIN_PARALLEL_ENV,
-    MODE_CODES,
-    resolve_min_parallel_seconds,
+from repro.parallel.engine import MODE_CODES
+from repro.resilience import (
+    FaultInjector,
+    FaultPlan,
+    FaultRule,
+    RetryPolicy,
+    TaskFailure,
 )
 
 
@@ -42,10 +46,21 @@ def _nested_workers(context, item):
 
 def _counted(context, item):
     # A worker-side metric: its delta ships back with the task's result.
-    from repro.obs.registry import get_registry
-
     get_registry().inc("test.engine.calls")
     return item + 1
+
+
+def _counted_boom(context, item):
+    get_registry().inc("test.engine.calls")
+    if item == 2:
+        raise ValueError("task 2 failed")
+    return item + 1
+
+
+@pytest.fixture
+def no_probe(monkeypatch):
+    """Multi-worker maps skip the probe, so every task crosses the pool."""
+    monkeypatch.setattr(engine_mod, "MIN_PARALLEL_SECONDS", 0.0)
 
 
 class TestResolveWorkers:
@@ -102,68 +117,33 @@ class TestStableSeeding:
 
 class TestEngineMap:
     def test_serial_map_preserves_order(self):
-        engine = ParallelEngine(1)
-        assert engine.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert engine.counters["parallel.tasks"] == 3.0
-        assert engine.counters["parallel.workers"] == 1.0
+        with push_registry(MetricsRegistry()) as reg:
+            engine = ParallelEngine(1)
+            assert engine.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert reg.counter("parallel.tasks").value == 3.0
+        assert engine.workers == 1
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, no_probe):
         items = list(range(6))
         serial = ParallelEngine(1).map(_offset, items, context=10)
-        # min_parallel_seconds=0.0 disables the serial-fallback heuristic
-        # so the comparison genuinely exercises the pool.
-        pooled = ParallelEngine(3, min_parallel_seconds=0.0).map(
-            _offset, items, context=10)
+        pooled = ParallelEngine(3).map(_offset, items, context=10)
         assert serial == pooled == [10 + i for i in items]
 
     def test_single_item_stays_serial(self):
         engine = ParallelEngine(4)
         assert engine.map(_square, [5]) == [25]
 
-    def test_exception_propagates_from_pool(self):
+    def test_exception_propagates_from_pool(self, no_probe):
         with pytest.raises(ValueError, match="task 2"):
-            ParallelEngine(2, min_parallel_seconds=0.0).map(_boom, [1, 2, 3])
+            ParallelEngine(2).map(_boom, [1, 2, 3])
 
     def test_exception_propagates_serially(self):
         with pytest.raises(ValueError, match="task 2"):
             ParallelEngine(1).map(_boom, [1, 2, 3])
 
-    def test_nested_fanout_serializes(self):
-        engine = ParallelEngine(2, min_parallel_seconds=0.0)
+    def test_nested_fanout_serializes(self, no_probe):
+        engine = ParallelEngine(2)
         assert engine.map(_nested_workers, [0, 1]) == [1, 1]
-
-    def test_counters_since(self):
-        engine = ParallelEngine(1)
-        baseline = dict(engine.counters)
-        engine.map(_square, [1, 2])
-        delta = engine.counters_since(baseline)
-        assert delta["parallel.tasks"] == 2.0
-        # workers is a level, not an accumulator
-        assert delta["parallel.workers"] == 1.0
-        assert delta["parallel.serial_seconds_estimate"] >= 0.0
-
-
-class TestResolveMinParallelSeconds:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(MIN_PARALLEL_ENV, raising=False)
-        assert resolve_min_parallel_seconds() == \
-            engine_mod.DEFAULT_MIN_PARALLEL_SECONDS
-
-    def test_keyword_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(MIN_PARALLEL_ENV, "5.0")
-        assert resolve_min_parallel_seconds(1.5) == 1.5
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(MIN_PARALLEL_ENV, "0.7")
-        assert resolve_min_parallel_seconds() == 0.7
-
-    def test_env_must_be_numeric(self, monkeypatch):
-        monkeypatch.setenv(MIN_PARALLEL_ENV, "lots")
-        with pytest.raises(ValueError, match=MIN_PARALLEL_ENV):
-            resolve_min_parallel_seconds()
-
-    def test_negative_clamps_to_disabled(self):
-        assert resolve_min_parallel_seconds(-1.0) == 0.0
 
 
 class TestSerialFallback:
@@ -177,9 +157,9 @@ class TestSerialFallback:
         assert reg.gauge("parallel.mode").snapshot() == \
             float(MODE_CODES["serial-fallback"])
 
-    def test_disabled_heuristic_uses_pool(self):
+    def test_disabled_heuristic_uses_pool(self, no_probe):
         with push_registry() as reg:
-            with ParallelEngine(2, min_parallel_seconds=0.0) as engine:
+            with ParallelEngine(2) as engine:
                 assert engine.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert reg.gauge("parallel.mode").snapshot() == \
             float(MODE_CODES["pool"])
@@ -199,8 +179,6 @@ class TestSerialFallback:
         assert seen == {0: 1, 1: 4, 2: 9}
 
     def test_fallback_failure_keeps_global_index(self):
-        from repro.resilience import TaskFailure
-
         engine = ParallelEngine(4)  # probe succeeds, tail fails serially
         results = engine.map(_boom, [1, 2, 3], return_failures=True)
         assert results[0] == 1 and results[2] == 3
@@ -212,25 +190,90 @@ class TestWorkerMetrics:
     """Worker-side metric deltas merge into the parent once per task."""
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
-    def test_merged_once_per_task(self, workers):
+    def test_merged_once_per_task(self, workers, no_probe):
         with push_registry(MetricsRegistry()) as registry:
-            with ParallelEngine(workers, name="m",
-                                min_parallel_seconds=0.0) as engine:
+            with ParallelEngine(workers, name="m") as engine:
                 results = engine.map(_counted, list(range(8)))
         assert results == [i + 1 for i in range(8)]
         assert registry.counter("test.engine.calls").value == 8
 
     def test_worker_death_merges_each_success_once(self):
-        from repro.resilience import FaultInjector, FaultPlan, RetryPolicy
-
         injector = FaultInjector(
             FaultPlan.single("worker_death", rate=0.3, max_failures=1, seed=7)
         )
         with push_registry(MetricsRegistry()) as registry:
             with ParallelEngine(2, name="m", retry=RetryPolicy.fast(),
-                                faults=injector,
-                                min_parallel_seconds=0.0) as engine:
+                                faults=injector) as engine:
                 results = engine.map(_counted, list(range(10)))
         assert results == [i + 1 for i in range(10)]
         assert any(d.kind == "worker_death" for d in injector.injected)
         assert registry.counter("test.engine.calls").value == 10
+
+
+class TestFailedMapRecordsMode:
+    """A map that raises still says where it ran."""
+
+    def _failed_map(self, workers, items):
+        with push_registry(MetricsRegistry()) as reg:
+            with span("root") as root:
+                with ParallelEngine(workers) as engine:
+                    with pytest.raises(ValueError, match="task 2"):
+                        engine.map(_boom, items)
+        (fanout,) = root.children
+        assert fanout.counters["parallel.map.wall_seconds"] >= 0.0
+        assert fanout.counters["parallel.map.mode"] == \
+            reg.gauge("parallel.mode").snapshot()
+        return reg.gauge("parallel.mode").snapshot()
+
+    def test_pooled_failure_records_pool(self, no_probe):
+        assert self._failed_map(2, [1, 2, 3]) == float(MODE_CODES["pool"])
+
+    def test_failed_probe_records_fallback(self):
+        # Task 0 fails in the probe round, which ran in this process.
+        assert self._failed_map(4, [2, 3, 4]) == \
+            float(MODE_CODES["serial-fallback"])
+
+
+class TestModeEquivalence:
+    """Serial, pooled and probe-fallback maps give the same results,
+    failure records, injections and counters."""
+
+    COUNTERS = ("resilience.retries", "resilience.task_failures",
+                "parallel.tasks", "test.engine.calls")
+
+    def _run(self, workers, plan=None, items=12):
+        injector = FaultInjector(plan) if plan is not None else None
+        with push_registry(MetricsRegistry()) as reg:
+            with ParallelEngine(workers, retry=RetryPolicy.fast(),
+                                faults=injector) as engine:
+                results = engine.map(_counted_boom, list(range(items)),
+                                     return_failures=True)
+        slots = [
+            (r.task_index, r.task_key, r.attempts, type(r.cause))
+            if isinstance(r, TaskFailure) else r
+            for r in results
+        ]
+        injected = sorted(
+            (d.kind, d.site, d.key, d.attempt) for d in injector.injected
+        ) if injector is not None else []
+        counters = {name: reg.counter(name).value for name in self.COUNTERS}
+        return (slots, injected, counters,
+                reg.gauge("parallel.mode").snapshot())
+
+    def test_faulted_serial_and_pool_agree(self):
+        plan = FaultPlan(seed=5, rules=(FaultRule("task_error", 0.4),
+                                        FaultRule("fatal", 0.15)))
+        serial = self._run(1, plan)
+        pooled = self._run(2, plan)
+        assert serial[3] == float(MODE_CODES["serial"])
+        assert pooled[3] == float(MODE_CODES["pool"])
+        assert {kind for kind, *_ in serial[1]} == {"task_error", "fatal"}
+        assert serial[:3] == pooled[:3]
+
+    def test_fallback_and_serial_agree(self):
+        # Few items keep the probe's estimate well under the threshold.
+        serial = self._run(1, items=4)
+        fallback = self._run(4, items=4)
+        assert fallback[3] == float(MODE_CODES["serial-fallback"])
+        assert serial[:3] == fallback[:3]
+        assert isinstance(serial[0][2], tuple)  # item 2's failure record

@@ -4,8 +4,13 @@ Task functions must be module-level (picklable) so the pool path can ship
 them; every scenario is exercised serially and with a real process pool.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+from repro.obs.registry import MetricsRegistry, push_registry
+from repro.parallel import engine as engine_mod
 from repro.parallel.engine import ParallelEngine
 from repro.resilience import (
     FaultInjector,
@@ -27,8 +32,16 @@ def _boom_on_two(context, item):
 
 
 @pytest.fixture(params=[1, 2], ids=["serial", "pool"])
-def workers(request):
-    return request.param
+def workers(request, monkeypatch):
+    """Worker count.  The pool case skips the probe (which would keep
+    these trivial tasks in-process) and checks that tasks crossed it."""
+    if request.param == 1:
+        yield 1
+        return
+    monkeypatch.setattr(engine_mod, "MIN_PARALLEL_SECONDS", 0.0)
+    with push_registry(MetricsRegistry()) as registry:
+        yield 2
+    assert registry.histogram("parallel.task.queue_seconds").count > 0
 
 
 class TestTransientFaultRetry:
@@ -71,6 +84,31 @@ class TestWorkerDeath:
         assert results == [i * 2 for i in range(10)]
         assert any(d.kind == "worker_death" for d in injector.injected)
 
+    def test_pool_broken_during_submission_resubmits_the_rest(
+            self, monkeypatch):
+        submits = []
+
+        class BreaksOnThirdSubmit(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(self)
+                if len(submits) == 3:
+                    raise BrokenProcessPool("a worker died mid-submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor",
+                            BreaksOnThirdSubmit)
+        monkeypatch.setattr(engine_mod, "MIN_PARALLEL_SECONDS", 0.0)
+        with push_registry(MetricsRegistry()) as registry:
+            with ParallelEngine(2, name="t",
+                                retry=RetryPolicy.fast()) as engine:
+                results = engine.map(_double, list(range(6)))
+        assert results == [i * 2 for i in range(6)]
+        # Tasks 0-1 were accepted; 2-5 went to the next round's new pool.
+        assert len(submits) == 3 + 4
+        assert submits[0] is not submits[-1]
+        assert registry.counter("resilience.pool.recreations").value == 1
+        assert registry.counter("parallel.tasks").value == 6
+
     def test_serial_worker_death_is_retried_to_same_results(self):
         injector = FaultInjector(
             FaultPlan.single("worker_death", rate=0.3, max_failures=1, seed=7)
@@ -93,10 +131,11 @@ class TestFailureIdentity:
         assert failure.attempts == 1
         assert failure.site == "t.task"
 
-    def test_pool_failure_preserves_worker_traceback(self):
+    def test_pool_failure_preserves_worker_traceback(self, monkeypatch):
         # force the real pool (the serial-fallback heuristic would keep
         # these trivial tasks in-process)
-        with ParallelEngine(2, name="t", min_parallel_seconds=0.0) as engine:
+        monkeypatch.setattr(engine_mod, "MIN_PARALLEL_SECONDS", 0.0)
+        with ParallelEngine(2, name="t") as engine:
             with pytest.raises(ValueError) as info:
                 engine.map(_boom_on_two, [1, 2, 3])
         assert "_boom_on_two" in info.value.task_failure.traceback_text
@@ -125,9 +164,10 @@ class TestReturnFailures:
         with ParallelEngine(workers, name="t",
                             retry=RetryPolicy.fast(max_attempts=2),
                             faults=injector) as engine:
-            results = engine.map(_double, [5], return_failures=True)
-        assert isinstance(results[0], TaskFailure)
-        assert results[0].attempts == 2
+            results = engine.map(_double, [5, 6], return_failures=True)
+        for result in results:
+            assert isinstance(result, TaskFailure)
+            assert result.attempts == 2
 
 
 class TestCallbacks:
