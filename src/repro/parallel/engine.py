@@ -70,8 +70,10 @@ identity) and surface as :class:`~repro.resilience.errors.TaskFailure`
 records rather than a bare re-raise that forgets which task died.  An
 optional :class:`~repro.resilience.faults.FaultInjector`
 deterministically injects failures for testing; directives are computed
-in the parent (so they are counted even when the worker dies) and
-executed at the task site.
+in the parent and executed at the task site.  Each attempt's directive is
+recorded once, in the parent, when the attempt runs or ships: it counts
+even when the worker dies, and a task that a broken pool loses replays
+the same attempt without counting it again.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 import os
@@ -263,14 +265,11 @@ class ParallelEngine:
         return f"{self.name}.task"
 
     def _directive(self, key: Any, attempt: int) -> Optional[FaultDirective]:
-        """The fault injected into one attempt, recorded here in the
-        parent so it is counted even when the worker dies."""
+        """The fault planned for one attempt (recorded by :meth:`map` once
+        the attempt runs or ships)."""
         if self.faults is None:
             return None
-        directive = self.faults.directive(self._site, key, attempt)
-        if directive is not None:
-            self.faults.record(directive)
-        return directive
+        return self.faults.directive(self._site, key, attempt)
 
     def _note_retry(self, index: int, key: Any, attempt: int,
                     error: BaseException) -> None:
@@ -350,6 +349,17 @@ class ParallelEngine:
         else:
             mode = None  # decided once the probe round has run task 0
         pool_breaks = 0
+        # (index, attempt) pairs whose directive is recorded: an attempt
+        # replayed after a pool break is the same injection, counted once.
+        recorded: Set[Tuple[int, int]] = set()
+
+        def record_directive(index: int,
+                             directive: Optional[FaultDirective]) -> None:
+            pair = (index, attempts[index])
+            if directive is not None and pair not in recorded:
+                recorded.add(pair)
+                self.faults.record(directive)
+
         with obs_span(f"parallel.map[{self.name}]") as record:
             record.counters["parallel.map.workers"] = float(self.workers)
             record.counters["parallel.map.tasks"] = float(len(work))
@@ -378,12 +388,18 @@ class ParallelEngine:
                                 broken = error
                                 break
                             submitted[i] = submit_ts
-                            calls.append(future.result)
+                            # Recorded in the parent once shipped, so it
+                            # counts even when the worker dies.
+                            record_directive(i, directives[i])
+                            calls.append((i, future.result))
                     else:
-                        calls = [partial(_run_task, fn, context, i, work[i],
-                                         directives[i]) for i in indexes]
+                        calls = [(i, partial(_run_task, fn, context, i,
+                                             work[i], directives[i]))
+                                 for i in indexes]
                     round_delay = 0.0
-                    for call in calls:
+                    for i, call in calls:
+                        if not pooled:
+                            record_directive(i, directives[i])
                         try:
                             index, payload, seconds, start_ts, delta = call()
                         except BrokenProcessPool as error:

@@ -16,9 +16,9 @@ an exact solver for precisely the fragment the formulation uses:
   terms), minimized by LP once decisions are fixed.
 
 :class:`~repro.smt.solver.OptimizingSolver` performs DPLL-style
-branch-and-bound over the decisions with a Bellman–Ford theory check and
-LP-based bounding — exact on paper-scale instances — and a greedy dive
-mode for the large supremacy-circuit scalability study.
+branch-and-bound over the decisions with an incremental Bellman–Ford
+theory check and LP-based bounding — exact on paper-scale instances — and
+a greedy dive mode for the large supremacy-circuit scalability study.
 """
 
 from repro.smt.model import (

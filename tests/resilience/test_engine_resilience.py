@@ -4,6 +4,7 @@ Task functions must be module-level (picklable) so the pool path can ship
 them; every scenario is exercised serially and with a real process pool.
 """
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -15,6 +16,7 @@ from repro.parallel.engine import ParallelEngine
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
+    FaultRule,
     RetryPolicy,
     TaskFailure,
     TransientTaskError,
@@ -22,6 +24,12 @@ from repro.resilience import (
 
 
 def _double(context, item):
+    return item * 2
+
+
+def _slow_double(context, item):
+    # Long enough that a worker death strands other tasks in the pool.
+    time.sleep(0.02)
     return item * 2
 
 
@@ -108,6 +116,28 @@ class TestWorkerDeath:
         assert submits[0] is not submits[-1]
         assert registry.counter("resilience.pool.recreations").value == 1
         assert registry.counter("parallel.tasks").value == 6
+
+    def test_each_attempt_is_recorded_once(self):
+        # Deaths break the pool under in-flight tasks that carry their own
+        # rejection; replaying them at the same attempt records nothing
+        # new, so the record is the plan's, not the pool's timing.
+        plan = FaultPlan(seed=11, rules=(FaultRule("worker_death", 0.25),
+                                         FaultRule("job_rejection", 0.5)))
+        records = []
+        for _ in range(3):
+            injector = FaultInjector(plan)
+            with ParallelEngine(2, name="t", retry=RetryPolicy.fast(),
+                                faults=injector) as engine:
+                results = engine.map(_slow_double, list(range(16)))
+            assert results == [i * 2 for i in range(16)]
+            triples = [(d.site, d.key, d.attempt) for d in injector.injected]
+            assert len(triples) == len(set(triples))
+            records.append(sorted((d.kind,) + triple
+                                  for d, triple in zip(injector.injected,
+                                                       triples)))
+        kinds = {kind for kind, *_ in records[0]}
+        assert kinds == {"worker_death", "job_rejection"}
+        assert records[0] == records[1] == records[2]
 
     def test_serial_worker_death_is_retried_to_same_results(self):
         injector = FaultInjector(
