@@ -165,26 +165,27 @@ class CampaignOutcome:
         )
 
 
-def _campaign_experiment_task(context, experiment: List[Unit]):
+def _campaign_experiment_task(executor: RBExecutor, experiment: List[Unit]):
     """Run one characterization experiment in a (possibly worker) process.
 
-    ``context`` ships the campaign's execution parameters once per worker:
-    ``(device, day, rb_config, executor_seed)``.  A fresh
-    :class:`~repro.rb.executor.RBExecutor` is built per task; because the
-    executor derives every experiment's RNG from a stable key rather than a
-    shared stream, the measured rates are identical no matter which process
-    (or in which order) the experiment runs.  Returns the per-target error
-    rates plus the executor's ``rb.*`` cost counters.
+    The campaign's one :class:`~repro.rb.executor.RBExecutor` is the map's
+    context, shipped once per worker.  Because the executor derives every
+    experiment's RNG from a stable key rather than a shared stream, the
+    measured rates are identical no matter which process (or in which
+    order) the experiment runs.  Returns the per-target error rates plus
+    this experiment's ``rb.*`` cost counters: the change it made to the
+    executor's cumulative counters.
     """
-    device, day, config, seed = context
-    executor = RBExecutor(device, day=day, config=config, seed=seed)
+    before = dict(executor.counters)
     result = executor.run_units(experiment)
     rates = {}
     for unit in experiment:
         for gate in unit:
             target = normalize_target(gate)
             rates[target] = result.error_rate(target)
-    return rates, executor.counters
+    counters = {name: value - before[name]
+                for name, value in executor.counters.items()}
+    return rates, counters
 
 
 def _experiment_key(stage: str, experiment: List[Unit]) -> str:
@@ -300,7 +301,7 @@ class CharacterizationCampaign:
 
     def _run_stage(self, engine: ParallelEngine,
                    span_name: str, stage: str, experiments: List[List[Unit]],
-                   context, checkpoint: Optional[JsonlCheckpoint],
+                   executor: RBExecutor, checkpoint: Optional[JsonlCheckpoint],
                    degradation: str) -> List:
         """Execute one campaign stage, resuming from the checkpoint.
 
@@ -336,7 +337,7 @@ class CharacterizationCampaign:
                 fresh = engine.map(
                     _campaign_experiment_task,
                     [experiments[i] for i in to_run],
-                    context,
+                    executor,
                     keys=run_keys,
                     on_result=on_result if checkpoint is not None else None,
                     return_failures=(degradation == "partial"),
@@ -359,12 +360,14 @@ class CharacterizationCampaign:
             faults: Optional[FaultInjector] = None,
             degradation: str = "strict",
             on_mismatch: str = "raise") -> CampaignOutcome:
-        from repro.pipeline.cache import device_fingerprint
-
         if degradation not in ("strict", "partial"):
             raise ValueError("degradation must be 'strict' or 'partial'")
         registry = get_registry()
-        fingerprint = device_fingerprint(self.device)
+        # One executor runs every experiment of both stages: it is the
+        # engine's context, so a pool ships it to each worker once.
+        executor = RBExecutor(self.device, day=day, config=self.rb_config,
+                              seed=self.seed * 65537 + day)
+        fingerprint = executor.fingerprint
         log_event("campaign.start", policy=policy.value, day=day,
                   device=fingerprint)
 
@@ -385,8 +388,6 @@ class CharacterizationCampaign:
                 retry=retry,
                 faults=faults,
             )
-            context = (self.device, day, self.rb_config,
-                       self.seed * 65537 + day)
             report = CrosstalkReport(day=day)
             failures: List[TaskFailure] = []
             entries: List[CoverageEntry] = []
@@ -395,7 +396,7 @@ class CharacterizationCampaign:
             with engine:
                 independent_results = self._run_stage(
                     engine, "independent_rb", "independent",
-                    plan.independent_experiments, context, checkpoint,
+                    plan.independent_experiments, executor, checkpoint,
                     degradation,
                 )
                 for experiment, value in zip(plan.independent_experiments,
@@ -419,7 +420,7 @@ class CharacterizationCampaign:
 
                 pair_results = self._run_stage(
                     engine, "pair_srb", "pair",
-                    plan.pair_experiments, context, checkpoint, degradation,
+                    plan.pair_experiments, executor, checkpoint, degradation,
                 )
                 for experiment, value in zip(plan.pair_experiments,
                                              pair_results):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 Edge = Tuple[int, int]
 
@@ -39,6 +40,9 @@ class CouplingMap:
         if num_qubits > 1 and not nx.is_connected(self.graph):
             raise ValueError("coupling map must be connected")
         self._dist = dict(nx.all_pairs_shortest_path_length(self.graph))
+        # (edge index, gate-distance table), built by gate_distance_table()
+        # on first use.
+        self._gates: Optional[Tuple[Dict[Edge, int], np.ndarray]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -60,16 +64,48 @@ class CouplingMap:
         return min(nx.all_shortest_paths(self.graph, a, b))
 
     # ------------------------------------------------------------------
+    def gate_distance_table(self) -> Tuple[Dict[Edge, int], np.ndarray]:
+        """``(index, table)``: the hop distance between every two gates.
+
+        ``index`` maps each coupling edge to its row (the order of
+        :attr:`edges`), and ``table[i, j]`` is the :meth:`gate_distance`
+        of edges ``i`` and ``j`` (a read-only array).  Built once, on
+        first use, and published whole, so a concurrent caller sees
+        either no table or all of it.
+        """
+        gates = self._gates
+        if gates is None:
+            edges = self.edges
+            n = self.num_qubits
+            qubit = np.array([[self._dist[u][v] for v in range(n)]
+                              for u in range(n)])
+            ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+            table = np.minimum.reduce([
+                qubit[ends[:, i, None], ends[None, :, j]]
+                for i in (0, 1) for j in (0, 1)
+            ])
+            table.setflags(write=False)
+            gates = ({edge: i for i, edge in enumerate(edges)}, table)
+            self._gates = gates
+        return gates
+
     def gate_distance(self, gate_a: Sequence[int], gate_b: Sequence[int]) -> int:
         """Hop distance between two hardware gates (coupling edges).
 
         Distance 0 means the gates share a qubit (they can never run in
         parallel); distance 1 is "1 hop" in the paper's terminology, the
-        range at which crosstalk is significant on these devices.
+        range at which crosstalk is significant on these devices.  Qubit
+        pairs that are not coupling edges are measured between their
+        nearest qubits, like edges.
         """
         a = normalize_edge(gate_a)
         b = normalize_edge(gate_b)
-        return min(self._dist[u][v] for u in a for v in b)
+        index, table = self.gate_distance_table()
+        i = index.get(a)
+        j = index.get(b)
+        if i is None or j is None:
+            return min(self._dist[u][v] for u in a for v in b)
+        return int(table[i, j])
 
     def simultaneous_gate_pairs(self) -> Tuple[FrozenSet[Edge], ...]:
         """Every unordered pair of gates that can be driven in parallel.
@@ -78,20 +114,21 @@ class CouplingMap:
         campaign of Section 4.2 measures each of them (221 pairs on
         Poughkeepsie).
         """
-        edges = self.edges
-        pairs = []
-        for i, e1 in enumerate(edges):
-            for e2 in edges[i + 1:]:
-                if self.gate_distance(e1, e2) > 0:
-                    pairs.append(frozenset((e1, e2)))
-        return tuple(pairs)
+        _, table = self.gate_distance_table()
+        return self._edge_pairs(table > 0)
 
     def one_hop_gate_pairs(self) -> Tuple[FrozenSet[Edge], ...]:
         """Gate pairs at exactly 1 hop — Optimization 1's measurement set."""
-        return tuple(
-            pair for pair in self.simultaneous_gate_pairs()
-            if self.gate_distance(*tuple(pair)) == 1
-        )
+        _, table = self.gate_distance_table()
+        return self._edge_pairs(table == 1)
+
+    def _edge_pairs(self, mask: np.ndarray) -> Tuple[FrozenSet[Edge], ...]:
+        """The unordered edge pairs ``mask`` selects, ordered by first
+        edge, then second edge, in the order of :attr:`edges`."""
+        edges = self.edges
+        rows, cols = np.nonzero(np.triu(mask, 1))
+        return tuple(frozenset((edges[i], edges[j]))
+                     for i, j in zip(rows.tolist(), cols.tolist()))
 
     def pairs_compatible(self, pair_a: Iterable[Edge], pair_b: Iterable[Edge],
                          min_hops: int = 2) -> bool:

@@ -440,12 +440,10 @@ class FleetController:
         """
         campaign = self._campaign(name)
         policy = CharacterizationPolicy.ONE_HOP_PACKED
-        if prior is not None:
-            prior_report = prior.report()
-            if prior_report.high_pairs():
-                policy = CharacterizationPolicy.HIGH_ONLY
-                return policy, campaign.plan(policy,
-                                             prior_report).num_experiments
+        if prior is not None and prior.high_pairs():
+            policy = CharacterizationPolicy.HIGH_ONLY
+            return policy, campaign.plan(policy,
+                                         prior.report()).num_experiments
         return policy, campaign.plan(policy).num_experiments
 
     def _campaign(self, name: str) -> CharacterizationCampaign:

@@ -25,7 +25,8 @@ virtual clock and the daily budget identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.characterization.report import CrosstalkReport
@@ -85,18 +86,32 @@ class CalibrationEpoch:
         """True for the statuses that count as a successful device-day."""
         return self.status in GOOD_STATUSES
 
+    # The parsed report and its high pairs are memos, not fields: they
+    # are derived from ``report_json``, so equality, hashing and every
+    # serialized form ignore them.
+    @cached_property
+    def _parsed(self) -> CrosstalkReport:
+        return CrosstalkReport.from_json(self.report_json)
+
+    @cached_property
+    def _high_pairs(self) -> Tuple:
+        return self._parsed.high_pairs()
+
     def report(self) -> CrosstalkReport:
         """The epoch's crosstalk report (exact: JSON floats round-trip).
 
         This is what downstream consumers feed to
         :class:`~repro.core.scheduling.xtalk.XtalkScheduler` as its
-        ``report=`` input.
+        ``report=`` input.  The JSON is parsed once per epoch; each call
+        returns a fresh copy, so a caller may mutate it freely.
         """
-        return CrosstalkReport.from_json(self.report_json)
+        parsed = self._parsed
+        return replace(parsed, independent=dict(parsed.independent),
+                       conditional=dict(parsed.conditional))
 
     def high_pairs(self) -> Tuple:
         """The report's high-crosstalk pairs (drift-metric input)."""
-        return self.report().high_pairs()
+        return self._high_pairs
 
     @property
     def staleness(self) -> Optional[int]:

@@ -156,9 +156,9 @@ class _SequencePlan:
 
 #: Memoized plans, keyed by a shared sequence's ``cache_token`` (plus the
 #: decoherence flag, which adds the idle sites).  Shared sequences recur
-#: across every experiment of a pair sweep — and across the fresh
-#: per-task executors a campaign pool builds — so each is planned once per
-#: process.
+#: across every experiment of a pair sweep — and across every executor in
+#: the process, a pool worker's copy of its campaign's included — so each
+#: is planned once per process.
 _PLAN_CACHE: Dict[Tuple, _SequencePlan] = {}
 _PLAN_CACHE_LIMIT = 16384
 
@@ -437,7 +437,10 @@ class RBExecutor:
     the day, the executor seed, and the experiment's target tuple — never
     from a shared stream.  Two executors with the same construction
     arguments therefore measure identical values for an experiment no
-    matter in which order (or in which worker process) experiments run.
+    matter in which order (or in which worker process) experiments run,
+    and one executor can run any number of experiments: a campaign runs
+    all of its experiments on one, and its pool ships that one to each
+    worker.
     """
 
     def __init__(self, device: Device, day: int = 0,
@@ -451,10 +454,12 @@ class RBExecutor:
         self._rng = np.random.default_rng(self.base_seed)
         from repro.pipeline.cache import device_fingerprint
 
-        self._fingerprint = device_fingerprint(device)
+        #: The device's :func:`~repro.pipeline.cache.device_fingerprint`,
+        #: computed once; every stream the executor derives is keyed on it.
+        self.fingerprint = device_fingerprint(device)
         #: Cumulative per-executor cost counters, in the same namespace the
-        #: pipeline passes use; the characterization campaign snapshots
-        #: these around each stage to report per-stage cost.
+        #: pipeline passes use; the characterization campaign takes their
+        #: change across each experiment as that experiment's cost.
         self.counters: Dict[str, float] = {
             "rb.experiments": 0.0,
             "rb.units": 0.0,
@@ -465,7 +470,7 @@ class RBExecutor:
 
     def _experiment_rng(self, targets: Sequence[Target]) -> np.random.Generator:
         """The stable per-experiment stream (see class docstring)."""
-        return stable_rng("rb.experiment", self._fingerprint, self.day,
+        return stable_rng("rb.experiment", self.fingerprint, self.day,
                           self.base_seed, sorted(targets))
 
     # ------------------------------------------------------------------
@@ -494,7 +499,12 @@ class RBExecutor:
             raise ValueError("experiment units overlap in qubits")
 
         cfg = self.config
-        rng = self._experiment_rng(targets)
+        # The stream is derived only when something draws from it: shot
+        # noise, unshared sequences or the sampled estimator.
+        rng = None
+        if (cfg.shots is not None or not cfg.share_sequences
+                or cfg.estimate == "sampled"):
+            rng = self._experiment_rng(targets)
         draws = [(li, si) for li in range(len(cfg.lengths))
                  for si in range(cfg.num_sequences)]
         shared = None
@@ -574,7 +584,7 @@ class RBExecutor:
         generated in one :func:`~repro.rb.sequences.shared_rb_sequences`
         call; the experiment stream is not consumed.
         """
-        seed_class = (self._fingerprint, self.day, self.base_seed)
+        seed_class = (self.fingerprint, self.day, self.base_seed)
         slots = sorted(targets)
         keys = [(len(t), length, index, slots.index(t), seed_class)
                 for length, index in shapes for t in targets]

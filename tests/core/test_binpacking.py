@@ -1,5 +1,7 @@
 """Tests for the randomized first-fit experiment packer."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,74 @@ from repro.core.characterization.binpacking import (
     pack_pairs_first_fit,
     validate_packing,
 )
-from repro.device.topology import line_coupling_map
+from repro.device.presets import ibmq_poughkeepsie
+from repro.device.topology import (
+    grid_coupling_map,
+    heavy_hex_coupling_map,
+    line_coupling_map,
+)
+
+
+def _reference_pack(coupling, units, min_hops=2, restarts=20, seed=0):
+    """The packer as first written: first fit asks the coupling map's
+    compatibility predicate about each placed unit, on every restart."""
+    def first_fit_pass(order):
+        bins = []
+        for unit in order:
+            for bin_units in bins:
+                if all(coupling.pairs_compatible(unit, placed,
+                                                 min_hops=min_hops)
+                       for placed in bin_units):
+                    bin_units.append(unit)
+                    break
+            else:
+                bins.append([unit])
+        return bins
+
+    rng = np.random.default_rng(seed)
+    best = None
+    order = list(units)
+    for attempt in range(restarts):
+        if attempt > 0:
+            rng.shuffle(order)
+        bins = first_fit_pass(order)
+        if best is None or len(bins) < len(best):
+            best = bins
+    return best
+
+
+_MAPS = {
+    "line": lambda: line_coupling_map(12),
+    "grid": lambda: grid_coupling_map(3, 4),
+    "poughkeepsie": lambda: ibmq_poughkeepsie().coupling,
+    "heavy_hex_65": lambda: heavy_hex_coupling_map(5, 11),
+}
+
+
+@lru_cache(maxsize=None)
+def _coupling(name):
+    return _MAPS[name]()
+
+
+def _units(coupling, kind, pick):
+    """One of the unit lists a campaign packs, drawn from ``pick``."""
+    rng = np.random.default_rng(pick)
+    pairs = sorted(tuple(sorted(p)) for p in coupling.one_hop_gate_pairs())
+    if kind == "edges":
+        return [(edge,) for edge in coupling.edges]
+    if kind == "one_hop":
+        return pairs
+    # HIGH_ONLY packs a prior's high pairs, then their gates singly.
+    chosen = sorted(pairs[i] for i in rng.choice(
+        len(pairs), int(rng.integers(1, len(pairs) + 1)), replace=False))
+    if kind == "high_only_pairs":
+        return chosen
+    if kind == "high_only_edges":
+        return [(e,) for e in sorted({e for pair in chosen for e in pair})]
+    # kind == "repeated": one unit listed twice
+    repeat = chosen[int(rng.integers(len(chosen)))]
+    at = int(rng.integers(len(chosen) + 1))
+    return chosen[:at] + [repeat] + chosen[at:]
 
 
 class TestFirstFit:
@@ -36,6 +105,13 @@ class TestPackPairs:
         line = line_coupling_map(4)
         with pytest.raises(ValueError):
             pack_pairs_first_fit(line, [((0, 1), (2, 3))], restarts=0)
+        with pytest.raises(ValueError, match="restart"):
+            pack_pairs_first_fit(line, [], restarts=0)
+
+    def test_non_edge_gate_rejected(self):
+        line = line_coupling_map(6)
+        with pytest.raises(ValueError, match="coupling edge"):
+            pack_pairs_first_fit(line, [((0, 2),)])
 
     def test_all_units_packed_once(self, poughkeepsie):
         units = [tuple(sorted(p)) for p in poughkeepsie.coupling.one_hop_gate_pairs()]
@@ -92,3 +168,24 @@ def test_random_subsets_always_pack_validly(seed, poughkeepsie):
     assert validate_packing(poughkeepsie.coupling, bins)
     packed = sorted(u for b in bins for u in b)
     assert packed == sorted(chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_MAPS)),
+       kind=st.sampled_from(["edges", "one_hop", "high_only_pairs",
+                             "high_only_edges", "repeated"]),
+       min_hops=st.integers(1, 3),
+       restarts=st.integers(1, 20),
+       seed=st.integers(0, 2 ** 32 - 1),
+       pick=st.integers(0, 10_000))
+def test_packing_matches_reference(name, kind, min_hops, restarts, seed, pick):
+    """Same bins, in the same order, holding the same units in the same
+    order as the per-placement predicate loop: the conflict masks change
+    how compatibility is looked up, never an RNG draw or a placement."""
+    coupling = _coupling(name)
+    units = _units(coupling, kind, pick)
+    expected = _reference_pack(coupling, units, min_hops, restarts, seed)
+    assert pack_pairs_first_fit(coupling, units, min_hops, restarts,
+                                seed) == expected
+    assert first_fit(coupling, units, min_hops) == _reference_pack(
+        coupling, units, min_hops, restarts=1)

@@ -2,13 +2,17 @@
 
 import pytest
 
+import repro.core.characterization.campaign as campaign_mod
+import repro.parallel.engine as engine_mod
+import repro.pipeline.cache as cache_mod
 from repro.core.characterization.campaign import (
     CharacterizationCampaign,
     CharacterizationPolicy,
 )
 from repro.core.characterization.cost import PAPER_COST_MODEL
 from repro.experiments.common import ground_truth_report
-from repro.rb.executor import RBConfig
+from repro.rb.executor import RBConfig, RBExecutor, normalize_target
+from repro.resilience import FatalTaskError, FaultInjector, FaultPlan
 
 
 @pytest.fixture()
@@ -108,3 +112,100 @@ class TestExecution:
         # every planted pair detected (false positives tolerated: the
         # paper's 3x cut has the same property under measurement noise)
         assert planted <= detected
+
+
+_TINY_RB = RBConfig(lengths=(2, 6, 14), num_sequences=2)
+_STAGE_COUNTERS = ("rb.experiments", "rb.units", "rb.targets",
+                   "rb.sequences")
+
+
+def _fresh_executor_task(executor, experiment):
+    """Reference task: one new executor per experiment, whose counters
+    are then that experiment's cost alone."""
+    fresh = RBExecutor(executor.device, day=executor.day,
+                       config=executor.config, seed=executor.base_seed)
+    result = fresh.run_units(experiment)
+    rates = {normalize_target(gate): result.error_rate(gate)
+             for unit in experiment for gate in unit}
+    return rates, fresh.counters
+
+
+def _summary(outcome):
+    """The report plus each stage span's ``rb.*`` work counters."""
+    stages = {
+        record.name: {name: record.counters.get(name)
+                      for name in _STAGE_COUNTERS}
+        for record in outcome.trace.spans
+        if record.name in ("independent_rb", "pair_srb")
+    }
+    return outcome.report.to_json(), stages
+
+
+class TestOneExecutorPerCampaign:
+    def test_one_fingerprint_and_one_executor(self, poughkeepsie,
+                                              monkeypatch):
+        fingerprints = []
+        executors = []
+        fingerprint = cache_mod.device_fingerprint
+        init = RBExecutor.__init__
+
+        def counted_fingerprint(device):
+            fingerprints.append(device.name)
+            return fingerprint(device)
+
+        def counted_init(self, *args, **kwargs):
+            executors.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cache_mod, "device_fingerprint",
+                            counted_fingerprint)
+        monkeypatch.setattr(RBExecutor, "__init__", counted_init)
+        outcome = CharacterizationCampaign(
+            poughkeepsie, rb_config=_TINY_RB, seed=4, workers=1,
+        ).run(CharacterizationPolicy.ONE_HOP_PACKED)
+        assert outcome.num_experiments > 1
+        assert len(fingerprints) == 1
+        assert len(executors) == 1
+
+    @pytest.fixture(scope="class")
+    def reference(self, poughkeepsie):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(campaign_mod, "_campaign_experiment_task",
+                          _fresh_executor_task)
+            return _summary(CharacterizationCampaign(
+                poughkeepsie, rb_config=_TINY_RB, seed=4, workers=1,
+            ).run(CharacterizationPolicy.ONE_HOP_PACKED, day=1))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_fresh_executor_per_experiment(
+            self, poughkeepsie, reference, workers, monkeypatch):
+        # No probe: at two workers every task crosses the pool, each
+        # worker running its own copy of the shipped executor.
+        monkeypatch.setattr(engine_mod, "MIN_PARALLEL_SECONDS", 0.0)
+        outcome = CharacterizationCampaign(
+            poughkeepsie, rb_config=_TINY_RB, seed=4, workers=workers,
+        ).run(CharacterizationPolicy.ONE_HOP_PACKED, day=1)
+        assert _summary(outcome) == reference
+        assert reference[1]["pair_srb"]["rb.experiments"] == len(
+            outcome.plan.pair_experiments)
+
+    def test_matches_fresh_executor_across_resume(
+            self, poughkeepsie, reference, tmp_path):
+        path = str(tmp_path / "campaign.ckpt.jsonl")
+        campaign = CharacterizationCampaign(
+            poughkeepsie, rb_config=_TINY_RB, seed=4, workers=1,
+        )
+        with pytest.raises(FatalTaskError):
+            campaign.run(
+                CharacterizationPolicy.ONE_HOP_PACKED, day=1,
+                checkpoint=path,
+                # Fails partway through the pair stage, so the resumed
+                # run replays both stages' counters from the checkpoint.
+                faults=FaultInjector(FaultPlan.single("fatal", rate=0.15,
+                                                      seed=5)),
+            )
+        outcome = campaign.run(CharacterizationPolicy.ONE_HOP_PACKED, day=1,
+                               checkpoint=path)
+        assert (len(outcome.plan.independent_experiments)
+                < outcome.checkpoint_hits < outcome.num_experiments)
+        assert _summary(outcome) == reference

@@ -1,15 +1,41 @@
 """Tests for coupling maps and the gate-hop metric."""
 
+import sys
+import threading
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.device.presets import ibmq_poughkeepsie
 from repro.device.topology import (
     CouplingMap,
     grid_coupling_map,
+    heavy_hex_coupling_map,
     line_coupling_map,
     normalize_edge,
 )
+
+
+def _bfs_gate_distances(coupling):
+    """Gate distance of every edge pair from one plain BFS per qubit."""
+    adjacent = {q: set() for q in range(coupling.num_qubits)}
+    for a, b in coupling.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    hops = {}
+    for source in adjacent:
+        seen = {source: 0}
+        queue = deque([source])
+        while queue:
+            q = queue.popleft()
+            for r in adjacent[q] - seen.keys():
+                seen[r] = seen[q] + 1
+                queue.append(r)
+        hops[source] = seen
+    return {(e1, e2): min(hops[u][v] for u in e1 for v in e2)
+            for e1 in coupling.edges for e2 in coupling.edges}
 
 
 class TestNormalizeEdge:
@@ -64,6 +90,52 @@ class TestGateDistance:
     def test_symmetric(self):
         line = line_coupling_map(6)
         assert line.gate_distance((0, 1), (3, 4)) == line.gate_distance((3, 4), (0, 1))
+
+
+    @pytest.mark.parametrize("coupling", [
+        line_coupling_map(9), grid_coupling_map(3, 4),
+        ibmq_poughkeepsie().coupling, heavy_hex_coupling_map(5, 11),
+    ], ids=["line", "grid", "poughkeepsie", "heavy_hex_65"])
+    def test_every_edge_pair_matches_bfs(self, coupling):
+        for (e1, e2), hops in _bfs_gate_distances(coupling).items():
+            assert coupling.gate_distance(e1, e2) == hops
+            assert coupling.gate_distance(e1[::-1], e2) == hops
+            for min_hops in (1, 2, 3):
+                assert coupling.pairs_compatible(
+                    (e1,), (e2,), min_hops=min_hops) == (hops >= min_hops)
+
+    def test_non_edge_qubit_pairs_use_nearest_qubits(self):
+        line = line_coupling_map(8)
+        assert line.gate_distance((0, 2), (5, 7)) == 3
+
+    def test_concurrent_first_use_sees_a_whole_table(self):
+        """Threads racing to build the table each read complete rows."""
+        coupling = heavy_hex_coupling_map(5, 11)
+        expected = _bfs_gate_distances(coupling)
+        edges = coupling.edges
+        errors = []
+
+        def read():
+            try:
+                for e1 in edges[::7]:
+                    for e2 in edges:
+                        if coupling.gate_distance(e1, e2) != expected[e1, e2]:
+                            errors.append((e1, e2))
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestPairEnumeration:
