@@ -94,18 +94,11 @@ class CouplingMap:
 
         Distance 0 means the gates share a qubit (they can never run in
         parallel); distance 1 is "1 hop" in the paper's terminology, the
-        range at which crosstalk is significant on these devices.  Qubit
-        pairs that are not coupling edges are measured between their
-        nearest qubits, like edges.
+        range at which crosstalk is significant on these devices.
         """
         a = normalize_edge(gate_a)
         b = normalize_edge(gate_b)
-        index, table = self.gate_distance_table()
-        i = index.get(a)
-        j = index.get(b)
-        if i is None or j is None:
-            return min(self._dist[u][v] for u in a for v in b)
-        return int(table[i, j])
+        return min(self._dist[u][v] for u in a for v in b)
 
     def simultaneous_gate_pairs(self) -> Tuple[FrozenSet[Edge], ...]:
         """Every unordered pair of gates that can be driven in parallel.

@@ -25,7 +25,7 @@ virtual clock and the daily budget identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
@@ -86,31 +86,28 @@ class CalibrationEpoch:
         """True for the statuses that count as a successful device-day."""
         return self.status in GOOD_STATUSES
 
-    # The parsed report and its high pairs are memos, not fields: they
-    # are derived from ``report_json``, so equality, hashing and every
-    # serialized form ignore them.
-    @cached_property
-    def _parsed(self) -> CrosstalkReport:
-        return CrosstalkReport.from_json(self.report_json)
-
+    # The high pairs are a memo, not a field: they are derived from
+    # ``report_json``, so equality, hashing and every serialized form
+    # ignore them.  Only the small tuple is kept, never the parsed
+    # report: a fleet run keeps every epoch it publishes, so a retained
+    # parse would grow with devices x days.
     @cached_property
     def _high_pairs(self) -> Tuple:
-        return self._parsed.high_pairs()
+        return self.report().high_pairs()
 
     def report(self) -> CrosstalkReport:
         """The epoch's crosstalk report (exact: JSON floats round-trip).
 
         This is what downstream consumers feed to
         :class:`~repro.core.scheduling.xtalk.XtalkScheduler` as its
-        ``report=`` input.  The JSON is parsed once per epoch; each call
-        returns a fresh copy, so a caller may mutate it freely.
+        ``report=`` input.  Each call parses a fresh copy, so a caller
+        may mutate it freely.
         """
-        parsed = self._parsed
-        return replace(parsed, independent=dict(parsed.independent),
-                       conditional=dict(parsed.conditional))
+        return CrosstalkReport.from_json(self.report_json)
 
     def high_pairs(self) -> Tuple:
-        """The report's high-crosstalk pairs (drift-metric input)."""
+        """The report's high-crosstalk pairs (drift-metric input),
+        parsed once per epoch."""
         return self._high_pairs
 
     @property

@@ -91,13 +91,16 @@ class TestGateDistance:
         line = line_coupling_map(6)
         assert line.gate_distance((0, 1), (3, 4)) == line.gate_distance((3, 4), (0, 1))
 
-
     @pytest.mark.parametrize("coupling", [
         line_coupling_map(9), grid_coupling_map(3, 4),
         ibmq_poughkeepsie().coupling, heavy_hex_coupling_map(5, 11),
     ], ids=["line", "grid", "poughkeepsie", "heavy_hex_65"])
     def test_every_edge_pair_matches_bfs(self, coupling):
+        index, table = coupling.gate_distance_table()
+        assert list(index) == list(coupling.edges)
+        assert table.shape == (len(index), len(index))
         for (e1, e2), hops in _bfs_gate_distances(coupling).items():
+            assert table[index[e1], index[e2]] == hops
             assert coupling.gate_distance(e1, e2) == hops
             assert coupling.gate_distance(e1[::-1], e2) == hops
             for min_hops in (1, 2, 3):
@@ -118,8 +121,9 @@ class TestGateDistance:
         def read():
             try:
                 for e1 in edges[::7]:
+                    index, table = coupling.gate_distance_table()
                     for e2 in edges:
-                        if coupling.gate_distance(e1, e2) != expected[e1, e2]:
+                        if table[index[e1], index[e2]] != expected[e1, e2]:
                             errors.append((e1, e2))
             except Exception as error:  # reported below
                 errors.append(error)

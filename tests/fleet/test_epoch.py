@@ -1,4 +1,6 @@
-"""Calibration epochs: the parsed-report memo leaves every identity alone."""
+"""Calibration epochs: the high-pairs memo leaves every identity alone."""
+
+from dataclasses import fields
 
 from repro.core.characterization.report import CrosstalkReport
 from repro.fleet import CalibrationEpoch
@@ -38,7 +40,7 @@ def _identities(epoch):
             outcome.published_json())
 
 
-def test_report_json_is_parsed_once(monkeypatch):
+def test_high_pairs_parse_the_report_once(monkeypatch):
     parse = CrosstalkReport.from_json
     calls = []
 
@@ -50,8 +52,8 @@ def test_report_json_is_parsed_once(monkeypatch):
     epoch = _epoch()
     for _ in range(3):
         assert epoch.high_pairs() == (frozenset({(0, 1), (2, 3)}),)
-        assert epoch.report().to_json() == epoch.report_json
     assert len(calls) == 1
+    assert epoch.report().to_json() == epoch.report_json
 
 
 def test_memo_changes_no_identity():
@@ -64,6 +66,17 @@ def test_memo_changes_no_identity():
     assert _identities(untouched) == before
 
 
+def test_memo_keeps_no_parsed_report():
+    """Only the high-pairs tuple outlives a call: epochs are kept for a
+    whole fleet run, so a retained parse would grow with devices x days."""
+    epoch = _epoch()
+    epoch.high_pairs()
+    epoch.report()
+    extra = set(vars(epoch)) - {f.name for f in fields(epoch)}
+    assert extra == {"_high_pairs"}
+    assert all(isinstance(pair, frozenset) for pair in epoch.high_pairs())
+
+
 def test_returned_report_is_the_callers_own():
     epoch = _epoch()
     high = epoch.high_pairs()
@@ -74,4 +87,3 @@ def test_returned_report_is_the_callers_own():
     assert epoch.report().to_json() == _report().to_json()
     assert epoch.high_pairs() == high
     assert epoch.report() is not epoch.report()
-
